@@ -61,15 +61,17 @@ void RangeObjective::evaluate_batch(const std::uint64_t* seeds,
   for (std::size_t i = 0; i < count; ++i) out[i] = evaluate(seeds[i]);
 }
 
+BatchStats BatchStats::for_lanes(std::uint64_t lanes) {
+  return {(lanes + kBatchChunk - 1) / kBatchChunk, lanes};
+}
+
 BatchStats batch_evaluate(const exec::Executor& executor,
                           const Objective& objective,
                           const std::uint64_t* seeds, std::size_t count,
                           double* out) {
-  BatchStats stats;
+  const BatchStats stats = BatchStats::for_lanes(count);
   if (count == 0) return stats;
-  const std::size_t chunks = (count + kBatchChunk - 1) / kBatchChunk;
-  stats.calls = chunks;
-  stats.lanes = count;
+  const std::size_t chunks = stats.calls;
   // One worker item per fixed-width chunk: the decomposition depends only on
   // `count`, so results and dispatch counts are thread-count invariant.
   obs::HostScope host_scope("derand/batch_eval");

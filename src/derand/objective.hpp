@@ -86,7 +86,11 @@ class ConditionalObjective : public Objective {
 //
 // Terms index `values` by point position in the bound array, so nothing
 // re-evaluates the polynomial — the former per-term HashFn::raw calls (the
-// derand inner loop's dominant cost) collapse into the batched kernel.
+// derand inner loop's dominant cost) collapse into the batched kernel. Bind
+// each DISTINCT point once: an objective whose windows list the same point
+// many times (a node in every neighbour's window) stores the window items as
+// positions into the bound universe and reads values[pos], so a sweep hashes
+// the universe, not the window total.
 // Scratch is thread-local and reused across seeds: the steady-state sweep
 // performs no allocation.
 class RangeObjective : public Objective {
@@ -134,13 +138,17 @@ class RangeObjective : public Objective {
   field::PowerTable table_;
 };
 
-/// Dispatch accounting for one engine run: chunk dispatches into
-/// evaluate_batch and candidate-seed lanes shipped through them. Both are
-/// pure functions of the candidate count, so the totals are deterministic
-/// across thread counts and dispatch paths.
+/// Dispatch accounting for one engine run: kBatchChunk-wide batch calls and
+/// the candidate-seed lanes they carry. Both are pure functions of the
+/// candidate count the model charges (for_lanes), so the totals are
+/// deterministic across thread counts and dispatch paths — and across host
+/// short-circuits, which evaluate fewer seeds than the model charges.
 struct BatchStats {
   std::uint64_t calls = 0;
   std::uint64_t lanes = 0;
+
+  /// The stats of one batch of `lanes` candidates.
+  static BatchStats for_lanes(std::uint64_t lanes);
 
   BatchStats& operator+=(const BatchStats& other) {
     calls += other.calls;

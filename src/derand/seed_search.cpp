@@ -90,40 +90,41 @@ SearchResult find_seed(mpc::Cluster& cluster, const Objective& objective,
                             options.seed_base % seed_count;
     return static_cast<std::uint64_t>(pos % seed_count);
   };
-  std::vector<std::uint64_t> seeds;
   std::vector<double> values;
   BatchStats batch_stats;
   while (next < limit) {
     const std::uint64_t batch_end = std::min(limit, next + k);
-    charge_batch(cluster, objective.term_count(), batch_end - next,
-                 options.label);
-    ++result.batches;
-    // Evaluate the whole batch through the range oracle (host-parallel in
-    // fixed-width chunks; the objective is pure), then commit the first
-    // qualifying trial in enumeration order — identical to the serial
-    // search for every thread count and dispatch path. `trials` counts
-    // evaluations up to and including the committed one, matching the
-    // serial short-circuit count even though later candidates were also
-    // evaluated.
     const std::uint64_t width = batch_end - next;
-    seeds.resize(width);
-    for (std::uint64_t i = 0; i < width; ++i) seeds[i] = seed_at(next + i);
+    charge_batch(cluster, objective.term_count(), width, options.label);
+    ++result.batches;
+    // The model charges all `width` candidates of the batch (above, and in
+    // the dispatch stats). The host only needs the first qualifying one, so
+    // it evaluates candidates in enumeration order through find_first and
+    // stops there: serially that is exactly trials t + 1 evaluations; on a
+    // pool each worker claims the next candidate and skips any above the
+    // current best hit, so at most threads() - 1 extra are evaluated. The
+    // committed seed is the lowest qualifying trial either way, identical
+    // for every thread count and dispatch path.
+    batch_stats += BatchStats::for_lanes(width);
     values.assign(width, 0.0);
-    batch_stats += batch_evaluate(cluster.executor(), objective, seeds.data(),
-                                  width, values.data());
-    for (std::uint64_t t = next; t < batch_end; ++t) {
-      const double value = values[t - next];
-      if (value >= options.threshold) {
-        result.trials = t + 1;
-        result.seed = seed_at(t);
-        result.value = value;
-        span.arg("candidate_seeds", result.trials);
-        span.arg("batches", result.batches);
-        span.arg("committed_seed", result.seed);
-        record_search(result);
-        record_batch_stats(batch_stats);
-        return result;
-      }
+    std::uint64_t hit = width;
+    {
+      obs::HostScope eval_scope("derand/batch_eval");
+      hit = cluster.executor().find_first(0, width, [&](std::uint64_t i) {
+        values[i] = objective.evaluate(seed_at(next + i));
+        return values[i] >= options.threshold;
+      });
+    }
+    if (hit < width) {
+      result.trials = next + hit + 1;
+      result.seed = seed_at(next + hit);
+      result.value = values[hit];
+      span.arg("candidate_seeds", result.trials);
+      span.arg("batches", result.batches);
+      span.arg("committed_seed", result.seed);
+      record_search(result);
+      record_batch_stats(batch_stats);
+      return result;
     }
     result.trials = batch_end;
     next = batch_end;

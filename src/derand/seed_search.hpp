@@ -11,8 +11,10 @@
 // order, evaluating K candidates per batch — one batch is O(1) MPC rounds,
 // since each machine evaluates its local term for all K candidates and a
 // single fan-in-S tree aggregates the K sums (K <= S) — and commits to the
-// first candidate reaching the threshold. Termination before the family is
-// exhausted is unconditional when threshold <= Q.
+// first candidate reaching the threshold. The model pays for all K
+// candidates of a batch; the host evaluates them in order and stops at the
+// committed one. Termination before the family is exhausted is
+// unconditional when threshold <= Q.
 //
 // This engine is the production path; the textbook prefix-fixing engine
 // (cond_expect.hpp) is the faithful §2.4 implementation used where the
@@ -67,9 +69,11 @@ struct SearchResult {
 std::uint64_t effective_stride(std::uint64_t stride, std::uint64_t seed_count);
 
 /// Find the first seed (in enumeration order) meeting the threshold.
-/// Batches are evaluated on the cluster's host executor; the committed seed
-/// is the first qualifying one in enumeration order regardless of thread
-/// count (the whole batch is evaluated, then scanned lowest-trial-first).
+/// Every batch is charged to the model as K candidates, but the host
+/// evaluates it lowest-trial-first on the cluster's executor and stops at
+/// the first qualifying candidate (Executor::find_first), so host cost
+/// follows the committed trial, not K. The committed seed, trials, value
+/// and batches are identical for every thread count.
 SearchResult find_seed(mpc::Cluster& cluster, const Objective& objective,
                        std::uint64_t seed_count, const SearchOptions& options);
 

@@ -16,112 +16,65 @@ using graph::EdgeId;
 using graph::Graph;
 using graph::NodeId;
 
-namespace {
-
-// A per-owner goodness window over the flat item array. Type-A owners
-// (every node's incident list) carry an upper bound on the kept count —
-// that is the quantity Lemma 10 sums into Invariant (i). Type-B owners
-// (X(v) lists of good nodes) carry a lower bound — Lemma 11 / Invariant
-// (ii). The owner total is the sum over the owner's group machines, one
-// Lemma-4 aggregation away, so evaluating per owner costs the same O(1)
-// rounds as per machine.
-enum class Side { kUpper, kLower, kBoth };
-
-struct OwnerWindow {
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
-  Side side = Side::kUpper;
-  std::uint64_t count() const { return end - begin; }
-};
-
-struct WindowSet {
-  std::vector<EdgeId> items;
-  std::vector<OwnerWindow> owners;
-};
-
-// Window half-width for a list of `count` items kept independently with
-// probability q: mult * (binomial sigma + 1). The paper's asymptotic form
-// n^{0.1 delta} sqrt(e_x) is strictly wider for large n (it absorbs the
-// weaker tails of c-wise independence); the binomial form is the right
-// scale at finite n and makes the window actually bite — see DESIGN.md.
-double half_width(double q, double mult, std::uint64_t count) {
-  const double sigma =
-      std::sqrt(static_cast<double>(count) * q * (1.0 - q));
-  return mult * (sigma + 1.0);
-}
-
-void set_window(OwnerWindow& w, double q, double mult) {
-  const double mean = q * static_cast<double>(w.count());
-  const double slack = half_width(q, mult, w.count());
-  if (w.side == Side::kLower) {
-    w.lo = 0;
-    w.hi = w.count();
-  } else {
-    w.hi = static_cast<std::uint64_t>(std::min<double>(
-        static_cast<double>(w.count()), std::ceil(mean + slack)));
+StageWindows edge_stage_windows(const Graph& g,
+                                const std::vector<bool>& in_E,
+                                const std::vector<bool>& in_B,
+                                const std::vector<std::vector<EdgeId>>& xv,
+                                double q, double mult,
+                                std::vector<std::uint64_t>& degree_counts) {
+  StageWindows windows;
+  // E_{j-1} ascending is the point universe. Type-A windows are built by
+  // count / prefix-sum / scatter straight into the item array; they are
+  // integer counts, so item order inside a window cannot change a value.
+  std::vector<std::uint32_t> edge_pos(g.num_edges(), kNoPosition);
+  std::vector<std::uint64_t> offset(g.num_nodes() + 1, 0);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (!in_E[e]) continue;
+    DMPC_CHECK_MSG(windows.universe.size() < kNoPosition,
+                   "edge sparsifier: E_{j-1} exceeds 32-bit positions");
+    edge_pos[e] = static_cast<std::uint32_t>(windows.universe.size());
+    windows.universe.push_back(e);
+    ++offset[g.edge(e).u + 1];
+    ++offset[g.edge(e).v + 1];
   }
-  if (w.side == Side::kUpper) {
-    w.lo = 0;
-  } else {
-    const double lo_real = mean - slack;
-    w.lo = lo_real <= 0 ? 0 : static_cast<std::uint64_t>(std::floor(lo_real));
+  for (NodeId v = 0; v < g.num_nodes(); ++v) offset[v + 1] += offset[v];
+  windows.items.resize(offset[g.num_nodes()]);
+  std::vector<std::uint64_t> fill(offset.begin(), offset.end() - 1);
+  for (std::uint32_t pos = 0; pos < windows.universe.size(); ++pos) {
+    const graph::Edge& edge = g.edge(windows.universe[pos]);
+    windows.items[fill[edge.u]++] = pos;
+    windows.items[fill[edge.v]++] = pos;
   }
-}
-
-/// Objective: number of good owners under the hash seed (threshold = all).
-//
-// Range form: the flat item array is the bound point universe (EdgeId is
-// already 64-bit), so each candidate seed costs one lane-parallel PowerTable
-// sweep and a branchy-but-hash-free window scan over the precomputed raw
-// values. Windows are read by pointer: the escalation loop rewrites lo/hi in
-// place without rebuilding the table (the item universe never changes within
-// a stage).
-class StageObjective final : public derand::RangeObjective {
- public:
-  StageObjective(const hash::KWiseFamily& family, std::uint64_t cutoff,
-                 const WindowSet& windows)
-      : cutoff_(cutoff), windows_(&windows) {
-    bind_points(family, windows.items.data(), windows.items.size());
+  degree_counts.assign(g.num_nodes(), 0);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    degree_counts[v] = offset[v + 1] - offset[v];
+    add_window(windows, offset[v], offset[v + 1], WindowKind::kUpper, q,
+               mult);
   }
-
-  double accumulate_terms(std::uint64_t range_begin, std::uint64_t range_end,
-                          std::uint64_t /*seed*/,
-                          const std::uint64_t* values) const override {
-    std::uint64_t good = 0;
-    for (std::uint64_t o = range_begin; o < range_end; ++o) {
-      const OwnerWindow& w = windows_->owners[o];
-      std::uint64_t kept = 0;
-      for (std::uint64_t idx = w.begin; idx < w.end; ++idx) {
-        if (values[idx] < cutoff_) ++kept;
-      }
-      if (kept >= w.lo && kept <= w.hi) ++good;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (!in_B[v]) continue;
+    const std::uint64_t begin = windows.items.size();
+    for (EdgeId e : xv[v]) {
+      DMPC_CHECK_MSG(edge_pos[e] != kNoPosition,
+                     "edge sparsifier: X(v) item outside E_{j-1}");
+      windows.items.push_back(edge_pos[e]);
     }
-    return static_cast<double>(good);
+    add_window(windows, begin, windows.items.size(), WindowKind::kLower, q,
+               mult);
   }
-
-  std::uint64_t range_count() const override { return windows_->owners.size(); }
-  std::uint64_t term_count() const override { return windows_->owners.size(); }
-
- private:
-  std::uint64_t cutoff_;
-  const WindowSet* windows_;
-};
-
-void append_owner(WindowSet& set, const std::vector<EdgeId>& owner_items,
-                  double q, double mult, Side side) {
-  if (owner_items.empty()) return;
-  OwnerWindow w;
-  w.begin = set.items.size();
-  set.items.insert(set.items.end(), owner_items.begin(), owner_items.end());
-  w.end = set.items.size();
-  w.side = side;
-  set_window(w, q, mult);
-  set.owners.push_back(w);
+  // Global window (one Lemma-4 aggregation): the total kept count must
+  // track q * |E_{j-1}|. At finite n the per-owner windows can all be
+  // trivially wide (counts of a few dozen admit no non-trivial satisfiable
+  // window), and without this constraint the degenerate all-keep / all-drop
+  // polynomials would count as good; the global window rejects them and
+  // guarantees per-stage progress.
+  const std::uint64_t begin = windows.items.size();
+  for (std::uint32_t pos = 0; pos < windows.universe.size(); ++pos) {
+    windows.items.push_back(pos);
+  }
+  add_window(windows, begin, windows.items.size(), WindowKind::kBoth, q, mult);
+  return windows;
 }
-
-}  // namespace
 
 EdgeSparsifyResult sparsify_edges(mpc::Cluster& cluster, const Params& params,
                                   const Graph& g, const MatchingGoodSet& good,
@@ -171,35 +124,10 @@ EdgeSparsifyResult sparsify_edges(mpc::Cluster& cluster, const Params& params,
     // --- Distribute: type-A machine groups (every node's incident E_{j-1}
     // list, upper windows) and type-B groups (X(v) ∩ E_{j-1} for v in B,
     // lower windows). ---
-    WindowSet windows;
-    std::vector<std::uint64_t> counts(g.num_nodes(), 0);
     double mult = config.slack_factor;
-    {
-      std::vector<std::vector<EdgeId>> incident(g.num_nodes());
-      std::vector<EdgeId> all_edges;
-      for (EdgeId e = 0; e < g.num_edges(); ++e) {
-        if (!result.in_Estar[e]) continue;
-        incident[g.edge(e).u].push_back(e);
-        incident[g.edge(e).v].push_back(e);
-        all_edges.push_back(e);
-      }
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        counts[v] = incident[v].size();
-        append_owner(windows, incident[v], q, mult, Side::kUpper);
-      }
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        if (good.in_B[v]) {
-          append_owner(windows, result.xv_star[v], q, mult, Side::kLower);
-        }
-      }
-      // Global window (one Lemma-4 aggregation): the total kept count must
-      // track q * |E_{j-1}|. At finite n the per-owner windows can all be
-      // trivially wide (counts of a few dozen admit no non-trivial
-      // satisfiable window), and without this constraint the degenerate
-      // all-keep / all-drop polynomials would count as good; the global
-      // window rejects them and guarantees per-stage progress.
-      append_owner(windows, all_edges, q, mult, Side::kBoth);
-    }
+    std::vector<std::uint64_t> counts;
+    StageWindows windows = edge_stage_windows(
+        g, result.in_Estar, good.in_B, result.xv_star, q, mult, counts);
     mpc::build_machine_groups(cluster, counts, group, /*arity=*/2,
                               "sparsify/distribute");
 
@@ -207,14 +135,15 @@ EdgeSparsifyResult sparsify_edges(mpc::Cluster& cluster, const Params& params,
     derand::SearchResult committed;
     std::uint64_t total_trials = 0;
     // One objective (and one PowerTable build) per stage: escalation only
-    // widens lo/hi, which the objective reads through the WindowSet pointer.
+    // widens lo/hi, which the objective reads through the StageWindows
+    // pointer.
     StageObjective objective(family, cutoff, windows);
     for (std::uint32_t attempt = 0;; ++attempt) {
       DMPC_CHECK_MSG(attempt <= config.max_escalations,
                      "edge sparsifier: window escalation cap reached");
       if (attempt > 0) {
         mult *= 2.0;
-        for (OwnerWindow& w : windows.owners) set_window(w, q, mult);
+        for (StageWindow& w : windows.owners) set_bounds(w, windows, q, mult);
       }
       derand::SearchOptions opts;
       opts.threshold = static_cast<double>(windows.owners.size());

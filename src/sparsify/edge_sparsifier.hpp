@@ -28,6 +28,7 @@
 #include "mpc/cluster.hpp"
 #include "sparsify/good_nodes.hpp"
 #include "sparsify/params.hpp"
+#include "sparsify/stage_objective.hpp"
 
 namespace dmpc::sparsify {
 
@@ -63,6 +64,18 @@ struct EdgeSparsifyResult {
   /// X(v) ∩ E* lists for v in B (aligned with the good set's xv).
   std::vector<std::vector<graph::EdgeId>> xv_star;
 };
+
+/// One stage's goodness windows over E_{j-1} = {e : in_E[e]}, as the stage's
+/// seed objective (StageObjective) reads them: a type-A upper COUNT window
+/// per node over its incident E_{j-1} edges (Lemma 10; `degree_counts[v]`
+/// receives its size), a type-B lower COUNT window per B-node over X(v),
+/// which must lie in E_{j-1} (Lemma 11), and one global two-sided COUNT
+/// window over E_{j-1}. Empty windows are dropped. Exposed for tests.
+StageWindows edge_stage_windows(
+    const graph::Graph& g, const std::vector<bool>& in_E,
+    const std::vector<bool>& in_B,
+    const std::vector<std::vector<graph::EdgeId>>& xv, double q, double mult,
+    std::vector<std::uint64_t>& degree_counts);
 
 /// Run §3.2 on the chosen good set. `good.in_E0`/`good.xv` define E_0; the
 /// result's mask is a subset of it.

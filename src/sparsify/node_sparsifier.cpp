@@ -15,115 +15,52 @@ namespace dmpc::sparsify {
 using graph::Graph;
 using graph::NodeId;
 
-namespace {
-
-// Per-owner goodness windows, mirroring the edge sparsifier (see its header
-// comment for why windows are per owner and binomial-sigma sized):
-//  - type-Q owners (each Q-node's Q-neighbor list) bound the kept COUNT from
-//    above (Lemma 17 / Invariant (i));
-//  - type-B owners (each B-node's Q-neighbor list) bound the kept 1/d(u)
-//    MASS from below (Lemma 18 / Invariant (ii));
-//  - one global two-sided COUNT window over all of Q_{j-1} rejects the
-//    degenerate all-keep / all-drop seeds at finite n.
-struct NodeWindow {
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;
-  bool weighted = false;
-  std::uint64_t lo = 0;       ///< Count lower bound (global window).
-  std::uint64_t hi = 0;       ///< Count upper bound.
-  double w_lo = 0.0;          ///< Weighted lower bound (type B).
-  std::uint64_t count() const { return end - begin; }
-};
-
-struct NodeWindowSet {
-  std::vector<NodeId> items;
-  std::vector<double> weights;  ///< Aligned 1/d(u); 0 for count windows.
-  std::vector<NodeWindow> owners;
-};
-
-double count_half_width(double q, double mult, std::uint64_t count) {
-  return mult *
-         (std::sqrt(static_cast<double>(count) * q * (1.0 - q)) + 1.0);
-}
-
-void set_count_window(NodeWindow& w, double q, double mult, bool two_sided) {
-  const double mean = q * static_cast<double>(w.count());
-  const double slack = count_half_width(q, mult, w.count());
-  w.hi = static_cast<std::uint64_t>(std::min<double>(
-      static_cast<double>(w.count()), std::ceil(mean + slack)));
-  if (two_sided) {
-    const double lo_real = mean - slack;
-    w.lo = lo_real <= 0 ? 0 : static_cast<std::uint64_t>(std::floor(lo_real));
-  } else {
-    w.lo = 0;
+StageWindows node_stage_windows(const Graph& g,
+                                const std::vector<bool>& alive,
+                                const std::vector<bool>& in_Q,
+                                const std::vector<bool>& in_B,
+                                const std::vector<std::uint32_t>& deg,
+                                double q, double mult,
+                                std::vector<std::uint64_t>& q_counts) {
+  StageWindows windows;
+  std::vector<std::uint32_t> node_pos(g.num_nodes(), kNoPosition);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (alive[v] && in_Q[v]) {
+      node_pos[v] = static_cast<std::uint32_t>(windows.universe.size());
+      windows.universe.push_back(v);
+      windows.weights.push_back(
+          deg[v] == 0 ? 0.0 : 1.0 / static_cast<double>(deg[v]));
+    }
   }
-}
-
-void set_weight_window(NodeWindow& w, const NodeWindowSet& set, double q,
-                       double mult) {
-  // Weighted Hoeffding scale: sigma^2 = q(1-q) * sum w_i^2; slack adds one
-  // max-weight term for the +1 discretization.
-  double mass = 0.0, sq = 0.0, wmax = 0.0;
-  for (std::uint64_t i = w.begin; i < w.end; ++i) {
-    mass += set.weights[i];
-    sq += set.weights[i] * set.weights[i];
-    wmax = std::max(wmax, set.weights[i]);
-  }
-  const double slack = mult * (std::sqrt(q * (1.0 - q) * sq) + wmax);
-  w.w_lo = std::max(0.0, q * mass - slack);
-}
-
-// Range form of the stage objective: the flat item array (widened to the
-// 64-bit hash domain) is the bound point universe, so each candidate seed is
-// one lane-parallel PowerTable sweep plus a hash-free window scan. Weighted
-// masses accumulate in ascending item order — the exact floating-point order
-// of the scalar path. Windows are read by pointer so the escalation loop can
-// rewrite the bounds without rebuilding the table.
-class NodeStageObjective final : public derand::RangeObjective {
- public:
-  NodeStageObjective(const hash::KWiseFamily& family, std::uint64_t cutoff,
-                     const NodeWindowSet& windows)
-      : cutoff_(cutoff),
-        windows_(&windows),
-        points_(windows.items.begin(), windows.items.end()) {
-    bind_points(family, points_.data(), points_.size());
-  }
-
-  double accumulate_terms(std::uint64_t range_begin, std::uint64_t range_end,
-                          std::uint64_t /*seed*/,
-                          const std::uint64_t* values) const override {
-    std::uint64_t good = 0;
-    for (std::uint64_t o = range_begin; o < range_end; ++o) {
-      const NodeWindow& w = windows_->owners[o];
-      if (!w.weighted) {
-        std::uint64_t kept = 0;
-        for (std::uint64_t i = w.begin; i < w.end; ++i) {
-          if (values[i] < cutoff_) ++kept;
-        }
-        if (kept >= w.lo && kept <= w.hi) ++good;
-      } else {
-        double mass = 0.0;
-        for (std::uint64_t i = w.begin; i < w.end; ++i) {
-          if (values[i] < cutoff_) {
-            mass += windows_->weights[i];
-          }
-        }
-        if (mass >= w.w_lo) ++good;
+  q_counts.assign(g.num_nodes(), 0);
+  auto append = [&](NodeId owner, WindowKind kind) {
+    const std::uint64_t begin = windows.items.size();
+    for (NodeId u : g.neighbors(owner)) {
+      if (alive[u] && in_Q[u]) {
+        DMPC_CHECK_MSG(node_pos[u] != kNoPosition,
+                       "node sparsifier: window item outside Q");
+        windows.items.push_back(node_pos[u]);
       }
     }
-    return static_cast<double>(good);
+    if (kind == WindowKind::kUpper) {
+      q_counts[owner] = windows.items.size() - begin;
+    }
+    add_window(windows, begin, windows.items.size(), kind, q, mult);
+  };
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (alive[v] && in_Q[v]) append(v, WindowKind::kUpper);
   }
-
-  std::uint64_t range_count() const override { return windows_->owners.size(); }
-  std::uint64_t term_count() const override { return windows_->owners.size(); }
-
- private:
-  std::uint64_t cutoff_;
-  const NodeWindowSet* windows_;
-  std::vector<std::uint64_t> points_;  ///< items widened to the hash domain
-};
-
-}  // namespace
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (alive[v] && in_B[v]) append(v, WindowKind::kMass);
+  }
+  // Global two-sided window over Q_{j-1} itself.
+  const std::uint64_t begin = windows.items.size();
+  for (std::uint32_t pos = 0; pos < windows.universe.size(); ++pos) {
+    windows.items.push_back(pos);
+  }
+  add_window(windows, begin, windows.items.size(), WindowKind::kBoth, q, mult);
+  return windows;
+}
 
 NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
                                   const Graph& g,
@@ -190,51 +127,10 @@ NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
     stage_span.arg("stage", static_cast<std::uint64_t>(stage));
 
     // --- Distribute neighbor lists into per-owner windows. ---
-    NodeWindowSet windows;
-    std::vector<std::uint64_t> counts(g.num_nodes(), 0);
     double mult = config.slack_factor;
-    auto append = [&](NodeId owner, bool weighted) {
-      NodeWindow w;
-      w.begin = windows.items.size();
-      for (NodeId u : g.neighbors(owner)) {
-        if (alive[u] && result.in_Qprime[u]) {
-          windows.items.push_back(u);
-          windows.weights.push_back(1.0 / static_cast<double>(deg[u]));
-        }
-      }
-      w.end = windows.items.size();
-      if (w.count() == 0) return;
-      if (!weighted) counts[owner] = w.count();
-      w.weighted = weighted;
-      if (weighted) {
-        set_weight_window(w, windows, q, mult);
-      } else {
-        set_count_window(w, q, mult, /*two_sided=*/false);
-      }
-      windows.owners.push_back(w);
-    };
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (alive[v] && result.in_Qprime[v]) append(v, /*weighted=*/false);
-    }
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (alive[v] && good.in_B[v]) append(v, /*weighted=*/true);
-    }
-    {
-      // Global two-sided window over Q_{j-1} itself.
-      NodeWindow w;
-      w.begin = windows.items.size();
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        if (alive[v] && result.in_Qprime[v]) {
-          windows.items.push_back(v);
-          windows.weights.push_back(0.0);
-        }
-      }
-      w.end = windows.items.size();
-      if (w.count() > 0) {
-        set_count_window(w, q, mult, /*two_sided=*/true);
-        windows.owners.push_back(w);
-      }
-    }
+    std::vector<std::uint64_t> counts;
+    StageWindows windows = node_stage_windows(
+        g, alive, result.in_Qprime, good.in_B, deg, q, mult, counts);
     mpc::build_machine_groups(cluster, counts, group, /*arity=*/1,
                               "mis_sparsify/distribute");
 
@@ -242,22 +138,14 @@ NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
     derand::SearchResult committed;
     std::uint64_t total_trials = 0;
     // One objective (and one PowerTable build) per stage: escalation only
-    // rewrites the window bounds, read through the NodeWindowSet pointer.
-    NodeStageObjective objective(family, cutoff, windows);
+    // rewrites the window bounds, read through the StageWindows pointer.
+    StageObjective objective(family, cutoff, windows);
     for (std::uint32_t attempt = 0;; ++attempt) {
       DMPC_CHECK_MSG(attempt <= config.max_escalations,
                      "node sparsifier: window escalation cap reached");
       if (attempt > 0) {
         mult *= 2.0;
-        const auto last = windows.owners.size() - 1;
-        for (std::size_t i = 0; i < windows.owners.size(); ++i) {
-          NodeWindow& w = windows.owners[i];
-          if (w.weighted) {
-            set_weight_window(w, windows, q, mult);
-          } else {
-            set_count_window(w, q, mult, /*two_sided=*/i == last);
-          }
-        }
+        for (StageWindow& w : windows.owners) set_bounds(w, windows, q, mult);
       }
       derand::SearchOptions opts;
       opts.threshold = static_cast<double>(windows.owners.size());

@@ -17,6 +17,7 @@
 #include "sparsify/edge_sparsifier.hpp"  // SparsifyConfig, StageReport
 #include "sparsify/good_nodes.hpp"
 #include "sparsify/params.hpp"
+#include "sparsify/stage_objective.hpp"
 
 namespace dmpc::sparsify {
 
@@ -25,6 +26,23 @@ struct NodeSparsifyResult {
   std::vector<StageReport> stages;
   std::uint32_t max_q_degree = 0;     ///< Max degree inside Q'.
 };
+
+/// One stage's goodness windows over Q_{j-1} = {v : alive[v] && in_Q[v]},
+/// as the stage's seed objective (StageObjective) reads them:
+///  - a type-Q upper COUNT window per Q-node over its Q-neighbours
+///    (Lemma 17 / Invariant (i)); `q_counts[v]` receives its size;
+///  - a type-B 1/deg[u] MASS window per B-node over its Q-neighbours
+///    (Lemma 18 / Invariant (ii)), in neighbour order;
+///  - one global two-sided COUNT window over Q_{j-1}, which rejects the
+///    degenerate all-keep / all-drop seeds at finite n.
+/// Empty windows are dropped. Exposed for tests.
+StageWindows node_stage_windows(const graph::Graph& g,
+                                const std::vector<bool>& alive,
+                                const std::vector<bool>& in_Q,
+                                const std::vector<bool>& in_B,
+                                const std::vector<std::uint32_t>& deg,
+                                double q, double mult,
+                                std::vector<std::uint64_t>& q_counts);
 
 /// Run §4.2 on the chosen good set; `alive` masks the current graph.
 NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "derand/cond_expect.hpp"
@@ -13,6 +16,7 @@
 #include "hash/kwise.hpp"
 #include "hash/seed.hpp"
 #include "mpc/cluster.hpp"
+#include "obs/metrics_registry.hpp"
 #include "support/check.hpp"
 
 namespace dmpc::derand {
@@ -99,6 +103,114 @@ TEST(SeedSearch, FindBestSeedWithinBudget) {
   const auto result = find_best_seed(cluster, objective, 1 << 8, 8);
   EXPECT_EQ(result.trials, 8u);
   EXPECT_DOUBLE_EQ(result.value, 3.0);  // best among 0..7 is 7 -> 3 bits
+}
+
+// --- Host short-circuit: the host evaluates up to the committed trial. ---
+
+/// q(seed) = 1 when seed == hit (0 otherwise), counting every evaluation.
+/// The counter is atomic because pool workers evaluate candidates.
+class HitCountingObjective final : public Objective {
+ public:
+  explicit HitCountingObjective(std::uint64_t hit) : hit_(hit) {}
+  double evaluate(std::uint64_t seed) const override {
+    evaluations.fetch_add(1, std::memory_order_relaxed);
+    return seed == hit_ ? 1.0 : 0.0;
+  }
+  std::uint64_t term_count() const override { return 8; }
+  mutable std::atomic<std::uint64_t> evaluations{0};
+
+ private:
+  std::uint64_t hit_;
+};
+
+struct ShortCircuitRun {
+  SearchResult result;
+  std::uint64_t evaluations = 0;
+  std::uint64_t rounds = 0;
+  std::uint64_t communication = 0;
+  std::string derand_model_json;  ///< kModel derand/* registry delta.
+  std::int64_t derand_lanes = 0;  ///< derand/lanes_used delta.
+  std::int64_t derand_calls = 0;  ///< derand/batch_calls delta.
+};
+
+/// Search seeds 0, 1, 2, ... (64 per batch) of a 1024-seed family for the
+/// single qualifying seed `hit`, on a cluster with `threads` host threads.
+ShortCircuitRun run_short_circuit(std::uint64_t hit, std::uint32_t threads) {
+  auto cluster = make_cluster();
+  cluster.set_executor(exec::Executor::with_threads(threads));
+  HitCountingObjective objective(hit);
+  SearchOptions options;
+  options.threshold = 1.0;
+  options.candidates_per_batch = 64;
+  auto& registry = obs::MetricsRegistry::global();
+  const auto before = registry.snapshot();
+  ShortCircuitRun run;
+  run.result = find_seed(cluster, objective, 1024, options);
+  const auto delta = obs::MetricsSnapshot::delta(registry.snapshot(), before);
+  obs::MetricsSnapshot derand;
+  for (const auto& entry : delta.entries) {
+    if (entry.name.rfind("derand/", 0) == 0) derand.entries.push_back(entry);
+  }
+  run.derand_model_json =
+      obs::to_json_section(derand, obs::MetricSection::kModel).dump();
+  run.derand_lanes = derand.find("derand/lanes_used")->value;
+  run.derand_calls = derand.find("derand/batch_calls")->value;
+  run.evaluations = objective.evaluations.load();
+  run.rounds = cluster.metrics().rounds();
+  run.communication = cluster.metrics().total_communication();
+  return run;
+}
+
+TEST(SeedSearch, SerialHostEvaluatesExactlyTrials) {
+  for (std::uint64_t hit : {0ull, 5ull, 63ull, 64ull + 17ull}) {
+    const auto run = run_short_circuit(hit, /*threads=*/1);
+    EXPECT_EQ(run.result.seed, hit);
+    EXPECT_EQ(run.result.trials, hit + 1);
+    EXPECT_EQ(run.result.batches, hit / 64 + 1);
+    EXPECT_EQ(run.evaluations, run.result.trials) << "hit=" << hit;
+    // The model still charges whole 64-wide batches: 4 kBatchChunk calls
+    // and 64 lanes per batch, however few seeds the host evaluated.
+    EXPECT_EQ(run.derand_lanes, 64 * run.result.batches);
+    EXPECT_EQ(run.derand_calls, 4 * run.result.batches);
+  }
+}
+
+TEST(SeedSearch, ShortCircuitIsThreadCountInvariant) {
+  const std::uint32_t hw = std::max(2u, std::thread::hardware_concurrency());
+  for (std::uint64_t hit : {0ull, 5ull, 63ull, 64ull + 17ull}) {
+    const auto reference = run_short_circuit(hit, /*threads=*/1);
+    for (std::uint32_t threads : {2u, hw}) {
+      const auto run = run_short_circuit(hit, threads);
+      EXPECT_EQ(run.result.seed, reference.result.seed);
+      EXPECT_EQ(run.result.trials, reference.result.trials);
+      EXPECT_EQ(run.result.value, reference.result.value);
+      EXPECT_EQ(run.result.batches, reference.result.batches);
+      EXPECT_EQ(run.rounds, reference.rounds);
+      EXPECT_EQ(run.communication, reference.communication);
+      EXPECT_EQ(run.derand_model_json, reference.derand_model_json)
+          << "hit=" << hit << " threads=" << threads;
+      // Workers may evaluate candidates past the hit, never past its batch.
+      EXPECT_GE(run.evaluations, reference.evaluations);
+      EXPECT_LE(run.evaluations, 64 * run.result.batches);
+    }
+  }
+}
+
+TEST(SeedSearch, NoQualifyingSeedEvaluatesWholeBudgetThenThrows) {
+  // The escalation path: a window too tight for every candidate must cost
+  // the full `limit` evaluations (a partial last batch included) and then
+  // throw, so the caller can widen the window and retry.
+  for (std::uint32_t threads : {1u, 2u}) {
+    auto cluster = make_cluster();
+    cluster.set_executor(exec::Executor::with_threads(threads));
+    HitCountingObjective objective(/*hit=*/1u << 20);  // outside the family
+    SearchOptions options;
+    options.threshold = 1.0;
+    options.candidates_per_batch = 64;
+    options.max_trials = 100;
+    EXPECT_THROW(find_seed(cluster, objective, 1024, options), CheckFailure);
+    EXPECT_EQ(objective.evaluations.load(), 100u) << "threads=" << threads;
+  }
 }
 
 // --- Stride coverage property. ---
@@ -275,14 +387,15 @@ TEST(CondExpect, InconsistentGuaranteeThrows) {
 
 /// Counts how the engine drives the batch entry points: an objective that
 /// does NOT override evaluate_batch exercises the default scalar fallback.
+/// The counter is atomic because pool workers evaluate chunks.
 class CountingObjective final : public Objective {
  public:
   double evaluate(std::uint64_t seed) const override {
-    ++scalar_calls;
+    scalar_calls.fetch_add(1, std::memory_order_relaxed);
     return static_cast<double>(seed % 17);
   }
   std::uint64_t term_count() const override { return 1; }
-  mutable std::uint64_t scalar_calls = 0;
+  mutable std::atomic<std::uint64_t> scalar_calls{0};
 };
 
 TEST(BatchEvaluate, DefaultFallbackMatchesScalarEvaluate) {
@@ -291,7 +404,7 @@ TEST(BatchEvaluate, DefaultFallbackMatchesScalarEvaluate) {
   for (std::uint64_t s = 0; s < 37; ++s) seeds.push_back(s * 3 + 1);
   std::vector<double> batched(seeds.size());
   objective.evaluate_batch(seeds.data(), seeds.size(), batched.data());
-  EXPECT_EQ(objective.scalar_calls, seeds.size());
+  EXPECT_EQ(objective.scalar_calls.load(), seeds.size());
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     EXPECT_EQ(batched[i], static_cast<double>(seeds[i] % 17));
   }

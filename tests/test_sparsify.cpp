@@ -3,15 +3,20 @@
 // (§3.2 / §4.2 invariants).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "graph/generators.hpp"
+#include "hash/kwise.hpp"
 #include "mpc/cluster.hpp"
 #include "sparsify/degree_classes.hpp"
 #include "sparsify/edge_sparsifier.hpp"
 #include "sparsify/good_nodes.hpp"
 #include "sparsify/node_sparsifier.hpp"
 #include "sparsify/params.hpp"
+#include "sparsify/stage_objective.hpp"
+#include "support/check.hpp"
 
 namespace dmpc::sparsify {
 namespace {
@@ -288,6 +293,203 @@ TEST(NodeSparsifier, LowClassKeepsQ0) {
                                      SparsifyConfig{});
   EXPECT_EQ(sparse.stages.size(), 0u);
   EXPECT_EQ(sparse.in_Qprime, good.in_Q0);
+}
+
+// ---- Stage objectives: position-indexed windows vs. a brute-force recount ----
+//
+// The stage objectives hash each distinct point of L_{j-1} once and read
+// window items through positions. Each evaluate(seed) must equal, exactly, a
+// recount over the original item lists with family.at(seed).raw(item) — for
+// the initial window bounds and for escalated (doubled) ones.
+
+/// One original window: its items (node or edge ids) and, for mass windows,
+/// the aligned weights.
+struct RawWindow {
+  std::vector<std::uint64_t> items;
+  std::vector<double> weights;
+};
+
+/// 256 decorrelated seeds (the sparsifiers' stride walk).
+std::vector<std::uint64_t> probe_seeds(const hash::KWiseFamily& family) {
+  std::vector<std::uint64_t> seeds;
+  for (std::uint64_t t = 0; t < 256; ++t) {
+    const __uint128_t pos =
+        static_cast<__uint128_t>(t) * 0xBF58476D1CE4E5B9ULL +
+        0x9E3779B97F4A7C15ULL;
+    seeds.push_back(static_cast<std::uint64_t>(pos % family.seed_count()));
+  }
+  return seeds;
+}
+
+struct RecountTally {
+  std::uint64_t failing_probes = 0;        ///< Probes with a failing window.
+  std::uint64_t failing_mass_windows = 0;  ///< Failing kMass verdicts.
+};
+
+double brute_force(const hash::KWiseFamily& family, std::uint64_t seed,
+                   std::uint64_t cutoff, const StageWindows& windows,
+                   const std::vector<RawWindow>& raw, RecountTally& tally) {
+  const auto fn = family.at(seed);
+  std::uint64_t good = 0;
+  for (std::size_t o = 0; o < raw.size(); ++o) {
+    const StageWindow& w = windows.owners[o];
+    if (w.kind == WindowKind::kMass) {
+      double mass = 0.0;
+      for (std::size_t i = 0; i < raw[o].items.size(); ++i) {
+        if (fn.raw(raw[o].items[i]) < cutoff) mass += raw[o].weights[i];
+      }
+      if (mass >= w.w_lo) {
+        ++good;
+      } else {
+        ++tally.failing_mass_windows;
+      }
+    } else {
+      std::uint64_t kept = 0;
+      for (std::uint64_t x : raw[o].items) {
+        if (fn.raw(x) < cutoff) ++kept;
+      }
+      if (kept >= w.lo && kept <= w.hi) ++good;
+    }
+  }
+  return static_cast<double>(good);
+}
+
+/// Checks windows against the original lists, then evaluate(seed) against
+/// the brute-force recount over 256 seeds at slack multipliers 0.25 and its
+/// escalations 0.5 and 1 — narrow enough that windows fail on some seeds.
+/// Returns how often windows failed, so callers can assert they bite.
+RecountTally expect_objective_matches_recount(
+    const hash::KWiseFamily& family, double q, StageWindows& windows,
+    const std::vector<RawWindow>& raw, bool sorted_items) {
+  RecountTally tally;
+  EXPECT_EQ(windows.owners.size(), raw.size());
+  if (windows.owners.size() != raw.size()) return tally;
+  for (std::size_t o = 0; o < raw.size(); ++o) {
+    const StageWindow& w = windows.owners[o];
+    std::vector<std::uint64_t> resolved;
+    for (std::uint64_t i = w.begin; i < w.end; ++i) {
+      resolved.push_back(windows.universe[windows.items[i]]);
+    }
+    std::vector<std::uint64_t> want = raw[o].items;
+    if (sorted_items) {
+      std::sort(resolved.begin(), resolved.end());
+      std::sort(want.begin(), want.end());
+    }
+    EXPECT_EQ(resolved, want) << "window " << o;
+  }
+  const auto cutoff =
+      static_cast<std::uint64_t>(q * static_cast<double>(family.p()));
+  const StageObjective objective(family, cutoff, windows);
+  EXPECT_EQ(objective.point_count(), windows.universe.size());
+  for (double mult : {0.25, 0.5, 1.0}) {
+    // Escalation rewrites the bounds in place under the bound objective.
+    for (StageWindow& w : windows.owners) set_bounds(w, windows, q, mult);
+    for (std::uint64_t seed : probe_seeds(family)) {
+      const double value = objective.evaluate(seed);
+      EXPECT_EQ(value, brute_force(family, seed, cutoff, windows, raw, tally))
+          << "seed " << seed << " mult " << mult;
+      if (value < static_cast<double>(raw.size())) ++tally.failing_probes;
+    }
+  }
+  return tally;
+}
+
+TEST(StageObjective, NodeWindowsMatchBruteForceRecount) {
+  auto cluster = roomy_cluster();
+  const Graph g = graph::gnm(400, 4800, 21);
+  Params params;
+  params.n = g.num_nodes();
+  params.inv_delta = 8;
+  std::vector<bool> alive(g.num_nodes(), true);
+  for (NodeId v = 0; v < g.num_nodes(); v += 7) alive[v] = false;
+  const auto good = select_mis_good_set(cluster, params, g, alive);
+  const auto deg = graph::alive_degrees(g, alive);
+  const double q = params.sample_probability();
+  std::vector<std::uint64_t> q_counts;
+  StageWindows windows = node_stage_windows(g, alive, good.in_Q0, good.in_B,
+                                            deg, q, 0.25, q_counts);
+  // The original lists: Q-neighbours of every Q-node, then the 1/d(u)
+  // weighted Q-neighbours of every B-node, then Q itself.
+  auto in_q = [&](NodeId u) { return alive[u] && good.in_Q0[u]; };
+  std::vector<RawWindow> raw;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (!alive[v] || !(pass == 0 ? good.in_Q0[v] : good.in_B[v])) continue;
+      RawWindow w;
+      for (NodeId u : g.neighbors(v)) {
+        if (!in_q(u)) continue;
+        w.items.push_back(u);
+        w.weights.push_back(1.0 / static_cast<double>(deg[u]));
+      }
+      if (pass == 0) {
+        EXPECT_EQ(q_counts[v], w.items.size());
+      }
+      if (!w.items.empty()) raw.push_back(std::move(w));
+    }
+  }
+  RawWindow all;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (in_q(v)) all.items.push_back(v);
+  }
+  raw.push_back(all);
+  EXPECT_EQ(windows.universe, all.items);
+  hash::KWiseFamily family(g.num_nodes(), g.num_nodes(), 4);
+  const auto tally = expect_objective_matches_recount(
+      family, q, windows, raw, /*sorted_items=*/false);
+  EXPECT_GT(tally.failing_probes, 0u);
+  EXPECT_GT(tally.failing_mass_windows, 0u);
+}
+
+TEST(StageObjective, EdgeWindowsMatchBruteForceRecount) {
+  auto cluster = roomy_cluster();
+  const Graph g = graph::gnm(300, 2400, 22);
+  Params params;
+  params.n = g.num_nodes();
+  params.inv_delta = 8;
+  std::vector<bool> alive(g.num_nodes(), true);
+  const auto good = select_matching_good_set(cluster, params, g, alive);
+  const double q = params.sample_probability();
+  std::vector<std::uint64_t> degree_counts;
+  StageWindows windows = edge_stage_windows(g, good.in_E0, good.in_B, good.xv,
+                                            q, 0.25, degree_counts);
+  // The original lists: every node's incident E_0 edges, then X(v) for
+  // v in B, then E_0 itself.
+  std::vector<RawWindow> raw;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    RawWindow w;
+    for (graph::EdgeId e : g.incident_edges(v)) {
+      if (good.in_E0[e]) w.items.push_back(e);
+    }
+    EXPECT_EQ(degree_counts[v], w.items.size());
+    if (!w.items.empty()) raw.push_back(std::move(w));
+  }
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (!good.in_B[v] || good.xv[v].empty()) continue;
+    raw.push_back({{good.xv[v].begin(), good.xv[v].end()}, {}});
+  }
+  RawWindow all;
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (good.in_E0[e]) all.items.push_back(e);
+  }
+  raw.push_back(all);
+  EXPECT_EQ(windows.universe, all.items);
+  hash::KWiseFamily family(g.num_edges(), g.num_edges(), 4);
+  const auto tally = expect_objective_matches_recount(
+      family, q, windows, raw, /*sorted_items=*/true);
+  EXPECT_GT(tally.failing_probes, 0u);
+}
+
+TEST(StageObjective, EdgeWindowItemOutsideUniverseThrows) {
+  const Graph g = graph::gnm(64, 256, 5);
+  std::vector<bool> in_E(g.num_edges(), true);
+  in_E[3] = false;
+  std::vector<bool> in_B(g.num_nodes(), false);
+  std::vector<std::vector<graph::EdgeId>> xv(g.num_nodes());
+  in_B[g.edge(3).u] = true;
+  xv[g.edge(3).u] = {3};  // X(v) must lie in E_{j-1}
+  std::vector<std::uint64_t> counts;
+  EXPECT_THROW(edge_stage_windows(g, in_E, in_B, xv, 0.25, 3.0, counts),
+               CheckFailure);
 }
 
 }  // namespace
