@@ -1,13 +1,12 @@
 // Shared JSON emission for the bench layer.
 //
-// Three binaries emit machine-readable bench artifacts — bench_runner (one
-// BENCH_<EXP>.json per experiment), bench_e17_host_parallel --json, and
-// bench_e18_fault_recovery --json. They share one envelope so CI tooling
-// (tools/scaling_check, artifact archiving) parses a single shape:
+// bench_runner writes one BENCH_<EXP>.json artifact per experiment in one
+// envelope, so CI tooling (tools/scaling_check, bench/repro_report, artifact
+// archiving) parses a single shape:
 //
 //   {
 //     "schema_version": 1,
-//     "bench": "<id>",            // "e1" .. "e18"
+//     "bench": "<id>",            // "e1" .. "e20"
 //     "title": "<one line>",
 //     "quick": true|false,
 //     "toolchain": {"compiler": .., "build": .., "commit": ..},
@@ -24,8 +23,10 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "obs/metrics_registry.hpp"
+#include "obs/scaling.hpp"
 #include "support/check.hpp"
 #include "support/json.hpp"
 
@@ -77,6 +78,42 @@ inline Json bench_envelope(const std::string& bench, const std::string& title,
       .set("title", title)
       .set("quick", quick)
       .set("toolchain", toolchain_stamp(commit));
+}
+
+/// One theorem envelope: model field `field` of experiment `bench` must fit
+/// `kind` in the sweep axis. tools/scaling_check gates these and
+/// bench/repro_report prints them as fit footers, so both read this table.
+struct LogEnvelope {
+  const char* bench;
+  const char* field;
+  obs::EnvelopeKind kind;
+};
+
+inline constexpr LogEnvelope kLogEnvelopes[] = {
+    {"e1", "mpc_rounds", obs::EnvelopeKind::kLogX},     // Theorem 7
+    {"e1", "iterations", obs::EnvelopeKind::kLogX},
+    {"e2", "mpc_rounds", obs::EnvelopeKind::kLogX},     // Theorem 14
+    {"e2", "iterations", obs::EnvelopeKind::kLogX},
+    {"e6", "lowdeg_rounds", obs::EnvelopeKind::kLogX},  // Theorem 1, Delta term
+};
+
+/// Relative residual an envelope fit may leave (scaling_check's --slack).
+inline constexpr double kDefaultEnvelopeSlack = 0.25;
+
+/// (axis_value, model.field) over the points whose axis value is numeric:
+/// string-valued points (a side series such as E6's n-sweep) have no place
+/// on the fitted axis.
+inline std::vector<obs::SeriesPoint> envelope_series(const Json& doc,
+                                                     const std::string& field) {
+  std::vector<obs::SeriesPoint> series;
+  for (const Json& point : doc.at("points").items()) {
+    const Json& axis = point.at("axis_value");
+    const Json* y = point.at("model").find(field);
+    if (axis.is_number() && y != nullptr && y->is_number()) {
+      series.push_back({axis.as_double(), y->as_double()});
+    }
+  }
+  return series;
 }
 
 /// Pretty-print `doc` to `path` with a trailing newline.

@@ -1,5 +1,7 @@
-// bench_runner — unified experiment driver: runs any subset of E1..E18 and
-// writes one machine-readable BENCH_<EXP>.json artifact per experiment.
+// bench_runner — the experiment registry: every experiment E1..E20 is
+// defined here, once, and written as one machine-readable BENCH_<EXP>.json
+// artifact. tools/scaling_check gates the artifacts; bench/repro_report
+// renders them as the EXPERIMENTS.md tables.
 //
 //   ./bench_runner --experiments=e1,e2,e8 --out=artifacts
 //                  [--quick] [--threads=1] [--commit=<sha>] [--progress]
@@ -11,18 +13,26 @@
 //   "points": [{"axis_value": <int|string>,
 //               "model":    {<integer-exact, thread-independent values>},
 //               "registry": {<model section of the metrics-registry delta
-//                             for this point (obs/metrics_registry.hpp)>},
+//                             for this point (obs/metrics_registry.hpp);
+//                             absent on E19/E20>},
 //               "wall":     {"wall_ms", "peak_rss_bytes"},
 //               "profile":  {<per-round load-skew timeline; E1/E2 only
 //                             (obs/profiler.hpp); model-deterministic and
-//                             gated by tools/trace_analyze --gate>}}, ...]
+//                             gated by tools/trace_analyze --gate>},
+//               "certificate": {"passed", "claims"}   <E1/E2 only>,
+//               "rss":      {"build_peak_rss_bytes", "rss_budget_bytes"}
+//                           <E19 shard-build points only>}, ...]
 //
 // Determinism contract: for a fixed (--experiments, --quick) configuration
 // the "model" and "registry" subtrees are byte-identical across runs and
-// across --threads values; "wall" and "toolchain" are not. tools/
-// scaling_check gates only on model fields, fitting the theorem envelopes
-// (E1/E2: rounds vs log n; E6: rounds vs log Delta; E8: peak load <= S)
-// and comparing against bench/baselines/.
+// across --threads values; "wall", "rss" and "toolchain" are not. tools/
+// scaling_check gates only on model fields (plus E19's rss bound), fitting
+// the theorem envelopes (E1/E2: rounds vs log n; E6: rounds vs log Delta;
+// E8: peak load <= S) and comparing against bench/baselines/.
+//
+// Identity experiments (E17-E20) assert their contract while they run, E18
+// down to the JSONL trace: a divergent answer or a failed certificate claim
+// (E1/E2) fails the run (exit 1).
 //
 // Fraction-valued quantities are stored as parts-per-million integers
 // (bench::ppm) so the golden subtrees contain no floats.
@@ -30,8 +40,12 @@
 #include <cctype>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <iostream>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,18 +56,22 @@
 #include "baselines/israeli_itai.hpp"
 #include "baselines/luby_matching.hpp"
 #include "baselines/luby_mis.hpp"
-#include "bench_common.hpp"
 #include "bench_json.hpp"
 #include "cclique/cc_mis.hpp"
 #include "congest/congest_mis.hpp"
+#include "exec/parallel.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
 #include "lowdeg/lowdeg_solver.hpp"
 #include "matching/det_matching.hpp"
 #include "mis/det_mis.hpp"
 #include "mpc/cluster.hpp"
+#include "mpc/io_faults.hpp"
 #include "mpc/lowlevel.hpp"
 #include "mpc/primitives.hpp"
+#include "mpc/shard_format.hpp"
+#include "mpc/storage.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/sinks.hpp"
@@ -63,6 +81,7 @@
 #include "sparsify/node_sparsifier.hpp"
 #include "support/check.hpp"
 #include "support/options.hpp"
+#include "support/parse_error.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 
@@ -128,6 +147,19 @@ class PointScope {
   Clock::time_point t0_;
 };
 
+/// Deterministic workload seed per (experiment, argument) pair so rows are
+/// reproducible but not identical across sweep points.
+std::uint64_t workload_seed(std::uint64_t experiment, std::uint64_t arg) {
+  return experiment * 1000003ULL + arg * 10007ULL + 1;
+}
+
+/// The standard sweep graph: G(n, 8n) — dense enough that the sparsification
+/// path engages, sparse enough to sweep n comfortably.
+Graph sweep_gnm(std::uint64_t n, std::uint64_t experiment) {
+  return dmpc::graph::gnm(static_cast<NodeId>(n), static_cast<EdgeId>(8 * n),
+                          workload_seed(experiment, n));
+}
+
 std::vector<std::uint64_t> sweep_n(const RunConfig& cfg) {
   if (cfg.quick) return {256, 512, 1024, 2048};
   return {256, 512, 1024, 2048, 4096, 8192};
@@ -140,12 +172,49 @@ dmpc::SolveOptions solver_options(const RunConfig& cfg) {
   return options;
 }
 
+/// Solution plus the report JSON with the recovery ledger zeroed: the
+/// identity fault recovery and the storage recovery ladder promise.
+std::pair<std::vector<bool>, std::string> comparable(
+    const dmpc::MisSolution& solution) {
+  auto report = solution.report;
+  report.recovery = dmpc::mpc::RecoveryStats{};
+  return {solution.in_set, to_json(report).dump()};
+}
+
+std::uint64_t set_size(const std::vector<bool>& in_set) {
+  return static_cast<std::uint64_t>(
+      std::count(in_set.begin(), in_set.end(), true));
+}
+
 // ---------------------------------------------------------------- E1 / E2
+
+/// Certificate of a certify=full re-solve of one sweep graph, as a
+/// {"passed", "claims"} block (skipped claims count in "claims" only). The
+/// re-solve runs before the point's PointScope opens, so the point's
+/// registry and wall blocks see only the measured solve. A failed claim
+/// throws verify::CertificationError, which fails the run.
+template <typename Solve>
+Json certificate_block(const RunConfig& cfg, Solve solve) {
+  auto options = solver_options(cfg);
+  options.certify = dmpc::verify::CertifyMode::kFull;
+  const dmpc::Solver solver(options);
+  solve(solver);
+  std::uint64_t passed = 0;
+  for (const auto& claim : solver.certificate().claims) {
+    passed += claim.verdict == dmpc::verify::Verdict::kPass;
+  }
+  return Json::object()
+      .set("passed", passed)
+      .set("claims",
+           static_cast<std::uint64_t>(solver.certificate().claims.size()));
+}
 
 Json e1_points(const RunConfig& cfg) {
   Json points = Json::array();
   for (const auto n : sweep_n(cfg)) {
-    const auto g = dmpc::bench::sweep_gnm(n, /*experiment=*/1);
+    const auto g = sweep_gnm(n, /*experiment=*/1);
+    auto certificate = certificate_block(
+        cfg, [&](const dmpc::Solver& s) { s.maximal_matching(g); });
     PointScope scope;
     auto options = solver_options(cfg);
     options.profile = true;
@@ -159,7 +228,8 @@ Json e1_points(const RunConfig& cfg) {
                      .set("communication", r.metrics.total_communication())
                      .set("matching_size",
                           static_cast<std::uint64_t>(solution.matching.size())))
-                    .set("profile", to_json(r.profile)));
+                    .set("profile", to_json(r.profile))
+                    .set("certificate", std::move(certificate)));
   }
   return points;
 }
@@ -167,7 +237,9 @@ Json e1_points(const RunConfig& cfg) {
 Json e2_points(const RunConfig& cfg) {
   Json points = Json::array();
   for (const auto n : sweep_n(cfg)) {
-    const auto g = dmpc::bench::sweep_gnm(n, /*experiment=*/2);
+    const auto g = sweep_gnm(n, /*experiment=*/2);
+    auto certificate =
+        certificate_block(cfg, [&](const dmpc::Solver& s) { s.mis(g); });
     PointScope scope;
     auto options = solver_options(cfg);
     options.profile = true;
@@ -182,7 +254,8 @@ Json e2_points(const RunConfig& cfg) {
                      .set("peak_load", r.metrics.peak_machine_load())
                      .set("communication", r.metrics.total_communication())
                      .set("mis_size", size))
-                    .set("profile", to_json(r.profile)));
+                    .set("profile", to_json(r.profile))
+                    .set("certificate", std::move(certificate)));
   }
   return points;
 }
@@ -325,6 +398,14 @@ Json e5_points(const RunConfig& cfg) {
 
 // --------------------------------------------------------------------- E6
 
+/// Rounds the low-degree pipeline spent gathering neighborhoods: the
+/// O(log log n) term of Theorem 1.
+std::uint64_t gather_rounds(const dmpc::mpc::Metrics& metrics) {
+  const auto& by_label = metrics.rounds_by_label();
+  const auto it = by_label.find("lowdeg/gather");
+  return it == by_label.end() ? 0 : it->second;
+}
+
 Json e6_points(const RunConfig& cfg) {
   const std::uint64_t n = cfg.quick ? 1024 : 4096;
   const std::vector<std::uint32_t> deltas =
@@ -344,7 +425,26 @@ Json e6_points(const RunConfig& cfg) {
             .set("stages", low.stages)
             .set("phases_per_stage",
                  static_cast<std::uint64_t>(low.phases_per_stage))
-            .set("general_rounds", gen.metrics.rounds())));
+            .set("general_rounds", gen.metrics.rounds())
+            .set("gather_rounds", gather_rounds(low.metrics))
+            .set("n", n)));
+  }
+  // The log log n term: an n-sweep at Delta = 4. String axis values keep
+  // these points out of the rounds-vs-log(Delta) envelope fit.
+  for (const std::uint64_t sweep_n : {512ull, 2048ull, 8192ull, 32768ull}) {
+    const auto g = dmpc::graph::random_regular(static_cast<NodeId>(sweep_n),
+                                               4, 700 + sweep_n);
+    PointScope scope;
+    const auto low = dmpc::lowdeg::lowdeg_mis(g, {});
+    points.push(scope.finish(
+        Json("4 (n=" + std::to_string(sweep_n) + ")"),
+        Json::object()
+            .set("lowdeg_rounds", low.metrics.rounds())
+            .set("stages", low.stages)
+            .set("phases_per_stage",
+                 static_cast<std::uint64_t>(low.phases_per_stage))
+            .set("gather_rounds", gather_rounds(low.metrics))
+            .set("n", sweep_n)));
   }
   return points;
 }
@@ -377,7 +477,7 @@ Json e8_points(const RunConfig& cfg) {
   Json points = Json::array();
   for (const std::uint64_t n : ns) {
     for (const std::uint64_t eps_tenths : {3ull, 5ull, 7ull}) {
-      const auto g = dmpc::bench::sweep_gnm(n, /*experiment=*/8);
+      const auto g = sweep_gnm(n, /*experiment=*/8);
       dmpc::mis::DetMisConfig config;
       config.eps = double(eps_tenths) / 10.0;
       const auto cc =
@@ -543,6 +643,21 @@ Json e12_points(const RunConfig& cfg) {
                      .set("rounds", r.metrics.rounds())
                      .set("mean_removed_ppm", dmpc::bench::ppm(frac.mean()))));
   }
+  // Independence degree c of the sparsifier's hash family, on a dense
+  // G(1024, 64k) at the default batch.
+  for (const unsigned k : {2u, 4u, 8u}) {
+    const auto g = dmpc::graph::gnm(1024, 65536, 1400 + k);
+    PointScope scope;
+    dmpc::matching::DetMatchingConfig config;
+    config.sparsify.hash_k = k;
+    const auto r = dmpc::matching::det_maximal_matching(g, config);
+    points.push(scope.finish(
+        Json("hash_k=" + std::to_string(k)),
+        Json::object()
+            .set("iterations", r.iterations)
+            .set("rounds", r.metrics.rounds())
+            .set("hash_k", static_cast<std::uint64_t>(k))));
+  }
   return points;
 }
 
@@ -619,6 +734,18 @@ Json e14_points(const RunConfig& cfg) {
                      .set("matching_size", cover.matching_size)
                      .set("maximum_matching",
                           static_cast<std::uint64_t>(maximum.size))));
+  }
+  // (Delta+1)-coloring on 512-node regular graphs: colors used vs palette.
+  for (const std::uint32_t d : {3u, 5u, 8u}) {
+    const auto g = dmpc::graph::random_regular(512, d, 1700 + d);
+    PointScope scope;
+    const auto coloring = dmpc::apps::delta_plus_one_coloring(g);
+    points.push(scope.finish(
+        Json("coloring/Delta=" + std::to_string(g.max_degree())),
+        Json::object()
+            .set("colors_used",
+                 static_cast<std::uint64_t>(coloring.colors_used))
+            .set("palette", static_cast<std::uint64_t>(g.max_degree()) + 1)));
   }
   return points;
 }
@@ -699,6 +826,23 @@ Json e17_points(const RunConfig& cfg) {
     return std::make_pair(solution, to_json(solution.report).dump());
   };
   const auto reference = run(1);
+  // The threaded CSR build must reproduce the serial one (Graph::from_edges
+  // on a parallel executor has no tier-1 test of its own). Checked outside
+  // every PointScope: the points' registry blocks stay those of the solves.
+  {
+    const auto proto = dmpc::graph::gnm(
+        static_cast<NodeId>(cfg.quick ? 20000 : 100000),
+        static_cast<EdgeId>(cfg.quick ? 160000 : 800000), /*seed=*/17);
+    const auto range = proto.edges();
+    const std::vector<dmpc::graph::Edge> edges(range.begin(), range.end());
+    const auto serial = Graph::from_edges(proto.num_nodes(), edges,
+                                          dmpc::exec::Executor::serial());
+    const auto parallel = Graph::from_edges(
+        proto.num_nodes(), edges, dmpc::exec::Executor::with_threads(0));
+    DMPC_CHECK_MSG(serial.max_degree() == parallel.max_degree() &&
+                       serial.edges() == parallel.edges(),
+                   "threaded Graph::from_edges differs from the serial build");
+  }
   Json points = Json::array();
   for (const std::uint32_t threads : {1u, 2u, 0u}) {
     PointScope scope;
@@ -725,18 +869,24 @@ Json e18_points(const RunConfig& cfg) {
   const std::uint64_t n = cfg.quick ? 256 : 512;
   const auto g = dmpc::graph::gnm(static_cast<NodeId>(n),
                                   static_cast<EdgeId>(16 * n), /*seed=*/23);
-  auto run = [&](const dmpc::mpc::FaultPlan& faults) {
+  // Every solve is traced (JSONL, no wall time): the fault layer promises the
+  // same solution, report modulo recovery, and trace as the fault-free run.
+  auto run = [&](const dmpc::mpc::FaultPlan& faults,
+                 dmpc::mpc::CheckpointMode checkpoint =
+                     dmpc::mpc::CheckpointMode::kRound) {
+    std::ostringstream trace;
+    dmpc::obs::JsonlTraceSink sink(&trace, /*include_wall_time=*/false);
+    dmpc::obs::TraceSession session(&sink);
     dmpc::SolveOptions options;
+    options.trace = &session;
     options.faults = faults;
-    const dmpc::Solver solver(options);
-    const auto solution = solver.mis(g);
-    auto comparable = solution.report;
-    comparable.recovery = dmpc::mpc::RecoveryStats{};
-    // The registry delta's recovery section varies by plan too; clear it from
-    // the comparable serialization the same way.
-    return std::make_pair(solution, to_json(comparable).dump());
+    options.recovery.checkpoint = checkpoint;
+    auto solution = dmpc::Solver(options).mis(g);
+    session.finish();
+    return std::make_pair(std::move(solution), trace.str());
   };
   const auto baseline = run(dmpc::mpc::FaultPlan{});
+  const auto reference = comparable(baseline.first);
   const std::uint64_t total_rounds = baseline.first.report.metrics.rounds();
   auto spread = [&](dmpc::mpc::FaultKind kind, std::uint64_t count,
                     std::uint64_t machines) {
@@ -751,21 +901,36 @@ Json e18_points(const RunConfig& cfg) {
     }
     return plan;
   };
+  auto expect_identical =
+      [&](const char* name,
+          const std::pair<dmpc::MisSolution, std::string>& result) {
+        const bool identical = comparable(result.first) == reference &&
+                               result.second == baseline.second;
+        DMPC_CHECK_MSG(identical,
+                       "scenario '" << name << "' differs from fault-free run");
+        return identical;
+      };
   const std::uint64_t light = cfg.quick ? 2 : 4;
+  const std::uint64_t heavy = cfg.quick ? 8 : 32;
+  // Heavy plans across 16 machines and phase-granular checkpointing: their
+  // identity is asserted here, outside every PointScope, and not tabled.
+  using dmpc::mpc::FaultKind;
+  expect_identical("crash_heavy", run(spread(FaultKind::kCrash, heavy, 16)));
+  expect_identical("drop_heavy", run(spread(FaultKind::kDrop, heavy, 16)));
+  expect_identical("crash_phase_ckpt",
+                   run(spread(FaultKind::kCrash, light, 16),
+                       dmpc::mpc::CheckpointMode::kPhase));
   struct Scenario {
     const char* name;
     dmpc::mpc::FaultPlan faults;
   };
   std::vector<Scenario> scenarios;
-  scenarios.push_back(
-      {"crash_light", spread(dmpc::mpc::FaultKind::kCrash, light, 1)});
-  scenarios.push_back(
-      {"drop_light", spread(dmpc::mpc::FaultKind::kDrop, light, 1)});
+  scenarios.push_back({"crash_light", spread(FaultKind::kCrash, light, 1)});
+  scenarios.push_back({"drop_light", spread(FaultKind::kDrop, light, 1)});
   {
-    auto mixed = spread(dmpc::mpc::FaultKind::kCrash, light, 16);
+    auto mixed = spread(FaultKind::kCrash, light, 16);
     for (const auto kind :
-         {dmpc::mpc::FaultKind::kDrop, dmpc::mpc::FaultKind::kStraggler,
-          dmpc::mpc::FaultKind::kDuplicate}) {
+         {FaultKind::kDrop, FaultKind::kStraggler, FaultKind::kDuplicate}) {
       const auto part = spread(kind, light, 16);
       for (const auto& e : part.events()) mixed.add(e);
     }
@@ -774,12 +939,9 @@ Json e18_points(const RunConfig& cfg) {
   Json points = Json::array();
   for (const auto& scenario : scenarios) {
     PointScope scope;
-    const auto [solution, json] = run(scenario.faults);
-    const bool identical = solution.in_set == baseline.first.in_set &&
-                           json == baseline.second;
-    DMPC_CHECK_MSG(identical, "scenario '" << scenario.name
-                                           << "' differs from fault-free run");
-    const auto& rec = solution.report.recovery;
+    const auto result = run(scenario.faults);
+    const bool identical = expect_identical(scenario.name, result);
+    const auto& rec = result.first.report.recovery;
     points.push(scope.finish(
         Json(std::string(scenario.name)),
         Json::object()
@@ -791,6 +953,241 @@ Json e18_points(const RunConfig& cfg) {
             .set("checkpoints", rec.checkpoints)
             .set("identical_to_fault_free",
                  static_cast<std::uint64_t>(identical))));
+  }
+  return points;
+}
+
+// -------------------------------------------------------------- E19 / E20
+
+namespace fs = std::filesystem;
+
+double ms_since(Clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - start)
+      .count();
+}
+
+/// A fresh directory under the system temp dir, removed on scope exit (also
+/// when an identity check throws).
+struct ScratchDir {
+  fs::path path;
+  explicit ScratchDir(const std::string& name)
+      : path(fs::temp_directory_path() / name) {
+    fs::remove_all(path);
+    fs::create_directories(path);
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    fs::remove_all(path, ignored);
+  }
+  std::string file(const std::string& name) const {
+    return (path / name).string();
+  }
+};
+
+/// Stream-write the circulant graph C(n; 1..k): node v joined to v+d (mod n)
+/// for d = 1..k. Exactly m = n*k distinct edges (for 2k < n), no self-loops,
+/// uniform degree 2k — and O(1) writer memory, which is the point: the E19
+/// sweep must never hold a graph-sized structure on the heap.
+void write_circulant(const std::string& path, std::uint64_t n,
+                     std::uint64_t k) {
+  std::ofstream out(path);
+  out << n << ' ' << n * k << '\n';
+  for (std::uint64_t v = 0; v < n; ++v) {
+    for (std::uint64_t d = 1; d <= k; ++d) {
+      out << v << ' ' << (v + d) % n << '\n';
+    }
+  }
+}
+
+/// Exact heap bytes Graph::from_edges would pin for (n, m): offsets
+/// (n+1)*u64, adjacency 2m*u32, incident 2m*u64, edges m*8B.
+std::uint64_t csr_bytes(std::uint64_t n, std::uint64_t m) {
+  return (n + 1) * 8 + 2 * m * (4 + 8) + m * 8;
+}
+
+/// The streaming shard builder's dirty-page budget for every E19 build.
+constexpr std::uint64_t kE19RssBudgetBytes = std::uint64_t{16} << 20;
+
+/// E19's shard-build sweep. The streaming build promises peak host memory
+/// of O(n) words plus a fixed dirty-page budget, never O(m): each point
+/// stream-writes a circulant edge list (no in-memory graph), records process
+/// peak RSS after the build and reports it next to the in-memory CSR
+/// footprint; scaling_check gates the ratio. ru_maxrss only ever grows
+/// during a process, so main() runs this before every other experiment; the
+/// result is cached for e19_points.
+const Json& e19_sweep(const RunConfig& cfg) {
+  static const Json sweep = [&] {
+    const ScratchDir dir("dmpc_bench_e19_sweep");
+    dmpc::mpc::ShardBuildOptions build;
+    build.rss_budget_bytes = kE19RssBudgetBytes;
+    // Degree 2k = 16 throughout, n doubling; the full sweep's largest point
+    // has a ~420 MB in-memory CSR while the builder must stay flat.
+    std::vector<std::uint64_t> sizes = {100000, 200000, 400000};
+    if (!cfg.quick) sizes.push_back(800000);
+    Json points = Json::array();
+    for (const std::uint64_t n : sizes) {
+      const std::string edges = dir.file("sweep.txt");
+      const std::string shards = dir.file("shards");
+      write_circulant(edges, n, /*k=*/8);
+      const auto t0 = Clock::now();
+      const auto stats = dmpc::mpc::shard_build(edges, shards, build);
+      const double build_ms = ms_since(t0);
+      const std::uint64_t peak_rss = dmpc::obs::peak_rss_bytes();
+      // Keep the disk footprint to one point's input and shards.
+      fs::remove(edges);
+      fs::remove_all(shards);
+      points.push(
+          Json::object()
+              .set("axis_value", stats.m)
+              .set("model", Json::object()
+                                .set("n", stats.n)
+                                .set("m", stats.m)
+                                .set("csr_bytes", csr_bytes(stats.n, stats.m))
+                                .set("shard_bytes", stats.total_bytes)
+                                .set("shards", stats.shards))
+              .set("rss", Json::object()
+                              .set("build_peak_rss_bytes", peak_rss)
+                              .set("rss_budget_bytes", build.rss_budget_bytes))
+              .set("wall", dmpc::bench::wall_stats(build_ms)));
+    }
+    return points;
+  }();
+  return sweep;
+}
+
+/// E19: the identity point (a small instance solved through the mmap and
+/// in-memory backends must be byte-identical) followed by the sweep points.
+Json e19_points(const RunConfig& cfg) {
+  const Json& sweep = e19_sweep(cfg);
+  const ScratchDir dir("dmpc_bench_e19");
+  dmpc::mpc::ShardBuildOptions build;
+  build.rss_budget_bytes = kE19RssBudgetBytes;
+  const std::string id_edges = dir.file("identity.txt");
+  write_circulant(id_edges, /*n=*/2000, /*k=*/8);
+  const auto id_stats =
+      dmpc::mpc::shard_build(id_edges, dir.file("identity_shards"), build);
+  const auto storage =
+      dmpc::mpc::MmapShardStorage::open(dir.file("identity_shards"));
+  const dmpc::Solver solver;
+  const auto t0 = Clock::now();
+  const auto from_mmap = solver.mis(*storage);
+  const double solve_ms = ms_since(t0);
+  const auto from_memory =
+      solver.mis(dmpc::graph::read_edge_list_file(id_edges));
+  const bool identical = from_mmap.in_set == from_memory.in_set &&
+                         to_json(from_mmap.report).dump() ==
+                             to_json(from_memory.report).dump();
+  DMPC_CHECK_MSG(identical, "mmap-backed solve differs from in-memory solve");
+
+  Json points = Json::array();
+  points.push(
+      Json::object()
+          .set("axis_value", id_stats.m)
+          .set("model",
+               Json::object()
+                   .set("n", id_stats.n)
+                   .set("m", id_stats.m)
+                   .set("csr_bytes", csr_bytes(id_stats.n, id_stats.m))
+                   .set("shard_bytes", id_stats.total_bytes)
+                   .set("shards", id_stats.shards)
+                   .set("mis_size", set_size(from_mmap.in_set))
+                   .set("mpc_rounds", from_mmap.report.metrics.rounds())
+                   .set("identical", identical ? 1 : 0))
+          .set("wall", dmpc::bench::wall_stats(solve_ms)));
+  for (const Json& point : sweep.items()) points.push(point);
+  return points;
+}
+
+/// E20: the storage recovery ladder (docs/STORAGE.md, "Integrity & degraded
+/// mode") end to end on one shard directory — a clean verified open,
+/// transient open-time failures absorbed by retries, a checksum flip that
+/// heals on retry, persistent corruption forcing a quarantine re-read, and an
+/// exhausted mmap budget degrading to the in-memory backend. Every scenario
+/// must reproduce the fault-free solve; the deterministic recovery ledger is
+/// what the baseline gates.
+Json e20_points(const RunConfig& cfg) {
+  (void)cfg;  // quick and full run the same instance
+  using dmpc::mpc::IoFaultKind;
+  using dmpc::mpc::IoFaultPlan;
+  const ScratchDir dir("dmpc_bench_e20");
+  const Graph g = dmpc::graph::gnm(4000, 32000, 20);
+  const std::string edge_path = dir.file("g.txt");
+  dmpc::graph::write_edge_list_file(g, edge_path);
+  dmpc::mpc::ShardBuildOptions build;
+  build.shard_words = 8192;
+  const std::string shard_dir = dir.file("shards");
+  const auto build_stats = dmpc::mpc::shard_build(edge_path, shard_dir, build);
+
+  IoFaultPlan transient;
+  transient.add({IoFaultKind::kEio, /*shard=*/0, dmpc::mpc::kAccessOpen,
+                 /*delay=*/1, /*attempts=*/2});
+  transient.add({IoFaultKind::kShortRead, /*shard=*/1, dmpc::mpc::kAccessOpen,
+                 /*delay=*/1, /*attempts=*/1});
+  transient.add({IoFaultKind::kSlow, /*shard=*/0, dmpc::mpc::kAccessVerify,
+                 /*delay=*/3, /*attempts=*/1});
+  IoFaultPlan heal;
+  heal.add({IoFaultKind::kCorrupt, /*shard=*/0, dmpc::mpc::kAccessVerify,
+            /*delay=*/1, /*attempts=*/1});
+  IoFaultPlan quarantine;
+  quarantine.add({IoFaultKind::kCorrupt, /*shard=*/1, dmpc::mpc::kAccessVerify,
+                  /*delay=*/1, /*attempts=*/4});
+  IoFaultPlan exhaust_mmap;
+  exhaust_mmap.add({IoFaultKind::kMapFail, /*shard=*/0, dmpc::mpc::kAccessOpen,
+                    /*delay=*/1,
+                    /*attempts=*/dmpc::mpc::RecoveryOptions::kMaxRetries + 1});
+  struct Scenario {
+    const char* name;
+    IoFaultPlan plan;
+    bool degrade;  ///< Open through the fallback path, not mmap.
+  };
+  const std::vector<Scenario> scenarios = {{"clean", IoFaultPlan{}, false},
+                                           {"transient", transient, false},
+                                           {"heal", heal, false},
+                                           {"quarantine", quarantine, false},
+                                           {"degraded", exhaust_mmap, true}};
+
+  const dmpc::Solver solver;
+  const auto reference = comparable(solver.mis(g));
+  Json points = Json::array();
+  for (const Scenario& scenario : scenarios) {
+    const auto t0 = Clock::now();
+    std::unique_ptr<dmpc::mpc::Storage> storage;
+    if (scenario.degrade) {
+      dmpc::mpc::StorageOptions options;
+      options.backend = dmpc::mpc::StorageBackend::kMmap;
+      options.shard_dir = shard_dir;
+      options.verify = dmpc::mpc::VerifyMode::kOpen;
+      options.fallback = dmpc::mpc::FallbackMode::kMemory;
+      storage = dmpc::mpc::open_storage(options, edge_path, {}, scenario.plan);
+    } else {
+      storage = dmpc::mpc::MmapShardStorage::open(
+          shard_dir, {}, dmpc::mpc::VerifyMode::kOpen, scenario.plan);
+    }
+    const auto solution = solver.mis(*storage);
+    const double wall_ms = ms_since(t0);
+    const bool identical = comparable(solution) == reference;
+    DMPC_CHECK_MSG(identical, "scenario '" << scenario.name
+                                           << "' differs from fault-free run");
+    const auto& ledger = storage->io_recovery();
+    points.push(
+        Json::object()
+            .set("axis_value", std::string(scenario.name))
+            .set("model",
+                 Json::object()
+                     .set("n", build_stats.n)
+                     .set("m", build_stats.m)
+                     .set("shards", build_stats.shards)
+                     .set("io_faults_injected", ledger.io_faults_injected)
+                     .set("retries", ledger.retries)
+                     .set("backoff_units", ledger.backoff_units)
+                     .set("checksum_failures", ledger.checksum_failures)
+                     .set("quarantined_shards", ledger.quarantined_shards)
+                     .set("degraded", ledger.degraded)
+                     .set("shards_verified", ledger.shards_verified)
+                     .set("mis_size", set_size(solution.in_set))
+                     .set("mpc_rounds", solution.report.metrics.rounds())
+                     .set("identical", identical ? 1 : 0))
+            .set("wall", dmpc::bench::wall_stats(wall_ms)));
   }
   return points;
 }
@@ -825,10 +1222,12 @@ const std::vector<Experiment>& experiments() {
        e10_points},
       {"e11", "n", "Ablation: 2-hop footprint with vs without sparsification",
        e11_points},
-      {"e12", "selection_batch", "Ablation: selection batch size", e12_points},
+      {"e12", "selection_batch",
+       "Ablations: selection batch size; hash independence c", e12_points},
       {"e13", "case", "Lemma-4 realizability: real vs charged primitives",
        e13_points},
-      {"e14", "n", "Applications: Koenig-exact vertex cover on bipartite",
+      {"e14", "n",
+       "Applications: Koenig-exact vertex cover; (Delta+1)-coloring",
        e14_points},
       {"e15", "topology", "s6 extension: derandomized Luby in CONGEST",
        e15_points},
@@ -838,6 +1237,10 @@ const std::vector<Experiment>& experiments() {
        e17_points},
       {"e18", "scenario", "Fault injection: recovery cost, identical output",
        e18_points},
+      {"e19", "m", "Out-of-core shard storage: build RSS bound + identity",
+       e19_points},
+      {"e20", "scenario", "Storage-fault recovery: ladder overhead + identity",
+       e20_points},
   };
   return table;
 }
@@ -869,7 +1272,19 @@ int main(int argc, char** argv) {
   RunConfig cfg;
   cfg.quick = args.has("quick");
   cfg.progress = args.has("progress");
-  cfg.threads = static_cast<std::uint32_t>(args.get_int("threads", 1));
+  std::int64_t threads = 1;
+  try {
+    threads = args.require_int("threads", 1);
+  } catch (const dmpc::ParseError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+  if (threads < 0 || threads > dmpc::Solver::kMaxThreads) {
+    std::fprintf(stderr, "error: --threads=%lld is outside [0, %u]\n",
+                 static_cast<long long>(threads), dmpc::Solver::kMaxThreads);
+    return 2;
+  }
+  cfg.threads = static_cast<std::uint32_t>(threads);
   const std::string out_dir = args.get("out", ".");
   const std::string commit = args.get("commit", "");
   const std::string experiments_csv = args.get("experiments", "");
@@ -886,29 +1301,44 @@ int main(int argc, char** argv) {
   } else {
     for (const auto& id : split_csv(experiments_csv)) {
       const Experiment* found = nullptr;
+      std::string known;
       for (const auto& e : experiments()) {
         if (id == e.id) found = &e;
+        if (!known.empty()) known += ',';
+        known += e.id;
       }
       if (found == nullptr) {
-        std::fprintf(stderr, "unknown experiment '%s' (e1..e18)\n",
-                     id.c_str());
+        std::fprintf(stderr, "unknown experiment '%s' (known: %s)\n",
+                     id.c_str(), known.c_str());
         return 2;
       }
       selected.push_back(found);
     }
   }
-
-  for (const Experiment* exp : selected) {
-    std::fprintf(stderr, "running %s: %s\n", exp->id, exp->title);
-    auto doc = dmpc::bench::bench_envelope(exp->id, exp->title, cfg.quick,
-                                           commit)
-                   .set("axis", std::string(exp->axis))
-                   .set("threads", static_cast<std::uint64_t>(cfg.threads))
-                   .set("points", exp->points(cfg));
-    const std::string path =
-        out_dir + "/BENCH_" + upper(exp->id) + ".json";
-    dmpc::bench::write_json_file(doc, path);
-    std::fprintf(stderr, "wrote %s\n", path.c_str());
+  try {
+    // ru_maxrss only ever grows during a process, so E19's shard-build RSS
+    // samples measure the builder only when its sweep runs before every
+    // other experiment. Its identity solve stays in table order: run first,
+    // it would register the MIS metric labels ahead of E1's and reorder
+    // later experiments' registry blocks.
+    for (const Experiment* exp : selected) {
+      if (std::string(exp->id) == "e19") e19_sweep(cfg);
+    }
+    for (const Experiment* exp : selected) {
+      std::fprintf(stderr, "running %s: %s\n", exp->id, exp->title);
+      auto doc = dmpc::bench::bench_envelope(exp->id, exp->title, cfg.quick,
+                                             commit)
+                     .set("axis", std::string(exp->axis))
+                     .set("threads", static_cast<std::uint64_t>(cfg.threads))
+                     .set("points", exp->points(cfg));
+      const std::string path = out_dir + "/BENCH_" + upper(exp->id) + ".json";
+      dmpc::bench::write_json_file(doc, path);
+      std::fprintf(stderr, "wrote %s\n", path.c_str());
+    }
+  } catch (const std::exception& e) {
+    // A failed identity assertion or certificate claim fails the run.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
   return 0;
 }

@@ -129,7 +129,8 @@ TEST(DeterminismMatrix, Gnm) {
 // The recovery engine's contract extends the matrix by one dimension: for a
 // fixed graph and fixed options, solutions, reports (modulo the "recovery"
 // counter block), and traces are byte-identical across {no faults, crashes,
-// drops} × thread counts.
+// drops, a crash+drop+straggler+duplicate mix, crashes under phase-granular
+// checkpoints} × thread counts.
 
 struct FaultRun {
   std::vector<bool> in_set;
@@ -140,8 +141,9 @@ struct FaultRun {
   std::uint64_t faults_injected = 0;
 };
 
-FaultRun run_with_faults(const Graph& g, std::uint32_t threads,
-                         const mpc::FaultPlan& plan) {
+FaultRun run_with_faults(
+    const Graph& g, std::uint32_t threads, const mpc::FaultPlan& plan,
+    mpc::CheckpointMode checkpoint = mpc::CheckpointMode::kRound) {
   FaultRun out;
   std::ostringstream trace_out;
   obs::JsonlTraceSink sink(&trace_out, /*include_wall_time=*/false);
@@ -150,6 +152,7 @@ FaultRun run_with_faults(const Graph& g, std::uint32_t threads,
   options.threads = threads;
   options.trace = &session;
   options.faults = plan;
+  options.recovery.checkpoint = checkpoint;
   const Solver solver(options);
   EXPECT_TRUE(solver.validate().ok()) << solver.validate().to_string();
   const auto solution = solver.mis(g);
@@ -174,6 +177,12 @@ void expect_fault_matrix_identical(const Graph& g, const char* family) {
              /*message=*/0});
   drops.add({mpc::FaultKind::kDrop, /*round=*/9, /*machine=*/2,
              /*message=*/1});
+  mpc::FaultPlan mixed = crashes;
+  for (const auto& event : drops.events()) mixed.add(event);
+  mixed.add({mpc::FaultKind::kStraggler, /*round=*/4, /*machine=*/3,
+             /*message=*/0, /*delay=*/2});
+  mixed.add({mpc::FaultKind::kDuplicate, /*round=*/5, /*machine=*/1,
+             /*message=*/0});
 
   const auto reference = run_with_faults(g, /*threads=*/1, mpc::FaultPlan{});
   EXPECT_EQ(reference.faults_injected, 0u) << family;
@@ -181,11 +190,17 @@ void expect_fault_matrix_identical(const Graph& g, const char* family) {
   const struct {
     const char* name;
     const mpc::FaultPlan* plan;
-  } axes[] = {{"none", nullptr}, {"crashes", &crashes}, {"drops", &drops}};
+    mpc::CheckpointMode checkpoint;
+  } axes[] = {{"none", nullptr, mpc::CheckpointMode::kRound},
+              {"crashes", &crashes, mpc::CheckpointMode::kRound},
+              {"drops", &drops, mpc::CheckpointMode::kRound},
+              {"mixed", &mixed, mpc::CheckpointMode::kRound},
+              {"crashes/phase-ckpt", &crashes, mpc::CheckpointMode::kPhase}};
   for (const auto& axis : axes) {
     for (std::uint32_t threads : fault_threads) {
       const auto run = run_with_faults(
-          g, threads, axis.plan != nullptr ? *axis.plan : mpc::FaultPlan{});
+          g, threads, axis.plan != nullptr ? *axis.plan : mpc::FaultPlan{},
+          axis.checkpoint);
       EXPECT_EQ(run.in_set, reference.in_set)
           << family << " faults=" << axis.name << " threads=" << threads;
       EXPECT_EQ(run.report_json, reference.report_json)

@@ -13,6 +13,8 @@
 //     paper's scaling shape within a relative residual `--slack`:
 //       e1/e2: mpc_rounds and iterations vs log2(n)     (Theorems 7 / 14)
 //       e6:    lowdeg_rounds vs log2(Delta)             (Theorem 1)
+//              (these log fits are bench/bench_json.hpp's kLogEnvelopes,
+//              over the numeric-axis points only)
 //       e8:    peak_load <= s_budget, per point         (S = O(n^eps) cap)
 //       e19:   shard-build peak RSS <= --rss-floor-mb MB
 //              + --rss-factor * model.csr_bytes, per sweep point (the
@@ -50,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "obs/scaling.hpp"
 #include "support/json.hpp"
 #include "support/options.hpp"
@@ -81,24 +84,9 @@ std::string series_name(const Json& doc, const Json& point) {
          axis_value_str(point);
 }
 
-/// Extract (axis_value, model.field) over all points; skips points whose
-/// axis_value is not numeric (string axes have no scaling shape to fit).
-std::vector<SeriesPoint> extract_series(const Json& doc,
-                                        const std::string& field) {
-  std::vector<SeriesPoint> series;
-  for (const Json& point : doc.at("points").items()) {
-    const Json& axis = point.at("axis_value");
-    if (!axis.is_number()) continue;
-    const Json* y = point.at("model").find(field);
-    if (y == nullptr || !y->is_number()) continue;
-    series.push_back({axis.as_double(), y->as_double()});
-  }
-  return series;
-}
-
 void check_log_envelope(const Json& doc, const std::string& field,
                         EnvelopeKind kind, double slack) {
-  const auto series = extract_series(doc, field);
+  const auto series = dmpc::bench::envelope_series(doc, field);
   const std::string exp = doc.at("bench").as_string();
   if (series.empty()) {
     fail(exp + "." + field, "no numeric points to fit");
@@ -246,12 +234,12 @@ void check_recovery_identity(const Json& doc) {
 void check_envelopes(const Json& doc, double slack, double rss_factor,
                      double rss_floor_mb) {
   const std::string exp = doc.at("bench").as_string();
-  if (exp == "e1" || exp == "e2") {
-    check_log_envelope(doc, "mpc_rounds", EnvelopeKind::kLogX, slack);
-    check_log_envelope(doc, "iterations", EnvelopeKind::kLogX, slack);
-  } else if (exp == "e6") {
-    check_log_envelope(doc, "lowdeg_rounds", EnvelopeKind::kLogX, slack);
-  } else if (exp == "e8") {
+  for (const auto& envelope : dmpc::bench::kLogEnvelopes) {
+    if (exp == envelope.bench) {
+      check_log_envelope(doc, envelope.field, envelope.kind, slack);
+    }
+  }
+  if (exp == "e8") {
     check_space_cap(doc);
   } else if (exp == "e19") {
     check_rss_bound(doc, rss_factor, rss_floor_mb);
@@ -354,7 +342,8 @@ void compare_wall_to_baseline(const Json& measured, const Json& baseline,
 
 int main(int argc, char** argv) {
   const dmpc::ArgParser args(argc, argv);
-  const double slack = args.get_double("slack", 0.25);
+  const double slack =
+      args.get_double("slack", dmpc::bench::kDefaultEnvelopeSlack);
   const double tolerance = args.get_double("tolerance", 0.10);
   const double wall_tolerance = args.get_double("wall-tolerance", 0.0);
   const double wall_floor_ms = args.get_double("wall-floor-ms", 50.0);
