@@ -19,7 +19,6 @@ Json to_json(const verify::Certificate& certificate);
 Json to_json(const verify::SparsifyAudit& audit);
 Json to_json(const obs::EventsSummary& events);
 Json to_json(const SolveReport& report);
-Json to_json(const Report& report);
 Json to_json(const matching::IterationReport& report);
 Json to_json(const mis::MisIterationReport& report);
 

@@ -83,19 +83,16 @@ struct SolveOptions {
   /// (obs/events.hpp): solve/phase/round lifecycle in the model section —
   /// byte-identical across thread counts, fault plans, and storage backends
   /// — and checkpoint/retry/storage rungs in the recovery section. The
-  /// report then carries an `events_summary` block and stamps
-  /// kEventsReportSchemaVersion; without a bus, reports are byte-identical
-  /// to pre-events output. The Solver finishes (flushes) the bus before
+  /// report then carries an `events_summary` block; without a bus the block
+  /// is absent. The Solver finishes (flushes) the bus before
   /// returning — including on CertificationError/FaultError unwind paths.
   obs::EventBus* events = nullptr;
   /// Round profiler: record the per-round load-skew timeline (per-machine
   /// load observations folded into max/mean/Gini/top-k records — see
-  /// obs/profiler.hpp) and embed it as the report's `profile` block
-  /// (kProfiledReportSchemaVersion). The profile is model-deterministic:
-  /// byte-identical
-  /// across thread counts and admissible fault plans. Off by default; when
-  /// off, reports and traces are byte-identical to a build without the
-  /// profiler.
+  /// obs/profiler.hpp) and embed it as the report's `profile` block. The
+  /// profile is model-deterministic: byte-identical across thread counts
+  /// and admissible fault plans. Off by default; when off, the block is
+  /// absent and traces are byte-identical to a build without the profiler.
   bool profile = false;
   /// Checked mode: kOff returns the answer uncertified (zero cost); kAnswer
   /// certifies the answer itself (MIS/matching claims + space accounting);
@@ -134,45 +131,17 @@ struct SolveReport {
   obs::EventsSummary events;
 };
 
-/// Version of the serialized report schema. Bumped to 2 when the
-/// "schema_version" and "recovery" keys were added, to 3 when the
-/// "certificate" and "sparsify_audit" blocks were added, and to 4 when the
-/// "registry" block (model-section metrics-registry delta) was added;
-/// downstream parsers should branch on this rather than sniffing keys.
-/// Version 5 added the optional `profile` block (round-profiler skew
-/// timeline). Version 6 adds the recovery block's "storage" sub-object
-/// (host storage-layer recovery ledger: io-fault injections, retries,
-/// checksum failures, quarantines, degradation) and the storage_integrity
-/// certificate claim; like the rest of the recovery block it is all-zero on
-/// a clean run, so reports stay byte-identical across io-fault plans modulo
-/// the typed "recovery" key.
-inline constexpr std::uint32_t kReportSchemaVersion = 6;
-
-/// Schema version of reports carrying the `profile` block (a report carries
-/// this exactly when it was solved with SolveOptions::profile on).
-inline constexpr std::uint32_t kProfiledReportSchemaVersion = 7;
-
-/// Schema version of reports carrying the `events_summary` block (a report
-/// carries this exactly when it was solved with an EventBus attached).
-/// An events-enabled report also carries the `profile` block when profiling
-/// was on; the stamp is the highest enabled tier (events > profile > base).
-inline constexpr std::uint32_t kEventsReportSchemaVersion = 8;
-
-/// The typed, versioned view of a SolveReport that Solver::report() returns;
-/// serialize with to_json(report) / Solver::report_json(). Downstream
-/// parsers consume this struct (or its JSON) instead of scraping strings.
-struct Report {
-  std::uint32_t schema_version = kReportSchemaVersion;
-  std::string algorithm;          ///< "sparsification" or "lowdeg".
-  std::uint64_t iterations = 0;
-  mpc::Metrics metrics;
-  mpc::RecoveryStats recovery;
-  verify::SparsifyAudit sparsify;
-  verify::Certificate certificate;  ///< Empty when certify == kOff.
-  obs::MetricsSnapshot registry;    ///< Per-solve registry delta.
-  obs::ProfileSnapshot profile;     ///< Skew timeline (when profiled).
-  obs::EventsSummary events;        ///< Event-stream summary (when attached).
-};
+/// Version of the serialized report schema, one for every report and every
+/// --metrics-out document. Version 2 added "schema_version" and the
+/// "recovery" block, 3 the "certificate" and "sparsify_audit" blocks, 4 the
+/// "registry" block (model-section metrics-registry delta), 5 the `profile`
+/// block and 6 the recovery block's "storage" sub-object. Versions 7 and 8
+/// stamped profiled and events-enabled reports. Version 9 is the single
+/// schema: the optional `profile` and `events_summary` blocks are present
+/// exactly when SolveOptions::profile / SolveOptions::events were on, and a
+/// profile window's comm_words are the words of its own superstep.
+/// Downstream parsers branch on this rather than sniffing keys.
+inline constexpr std::uint32_t kReportSchemaVersion = 9;
 
 struct MisSolution {
   std::vector<bool> in_set;

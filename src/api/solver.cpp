@@ -224,27 +224,6 @@ mpc::Cluster Solver::cluster(std::uint64_t n, std::uint64_t m) const {
   return cluster;
 }
 
-Report Solver::report(const SolveReport& solve_report) const {
-  Report report;
-  report.algorithm = solve_report.algorithm_used;
-  report.iterations = solve_report.iterations;
-  report.metrics = solve_report.metrics;
-  report.recovery = solve_report.recovery;
-  report.sparsify = solve_report.sparsify;
-  report.certificate = solve_report.certificate;
-  report.registry = solve_report.registry;
-  report.profile = solve_report.profile;
-  report.events = solve_report.events;
-  // Highest enabled tier wins: events > profile > base. An unobserved solve
-  // therefore serializes byte-identically to pre-events output.
-  report.schema_version = solve_report.events.enabled
-                              ? kEventsReportSchemaVersion
-                              : (solve_report.profile.enabled
-                                     ? kProfiledReportSchemaVersion
-                                     : kReportSchemaVersion);
-  return report;
-}
-
 void Solver::emit_solve_started(const char* algorithm,
                                 const graph::Graph& g) const {
   if (!obs::events_enabled(options_.events)) return;
@@ -371,6 +350,7 @@ MisSolution Solver::mis(const graph::Graph& g) const {
     const obs::MetricsSnapshot before =
         obs::MetricsRegistry::global().snapshot();
     MisSolution solution;
+    std::uint64_t machine_space = 0;
     obs::RoundProfiler profiler;
     obs::RoundProfiler* prof = options_.profile ? &profiler : nullptr;
     const bool lowdeg =
@@ -386,6 +366,7 @@ MisSolution Solver::mis(const graph::Graph& g) const {
       solution.report.iterations = result.stages;
       solution.report.metrics = result.metrics;
       solution.report.recovery = result.recovery;
+      machine_space = result.machine_space;
     } else {
       auto config = pipeline_config<mis::DetMisConfig>(options_);
       config.profiler = prof;
@@ -396,6 +377,7 @@ MisSolution Solver::mis(const graph::Graph& g) const {
       solution.report.iterations = result.iterations;
       solution.report.metrics = result.metrics;
       solution.report.recovery = result.recovery;
+      machine_space = result.machine_space;
       fill_audit(&solution.report.sparsify, result.reports,
                  mis::params_for(config, g.num_nodes()).degree_cap(),
                  [](const mis::MisIterationReport& r) {
@@ -404,7 +386,7 @@ MisSolution Solver::mis(const graph::Graph& g) const {
     }
     if (prof != nullptr) solution.report.profile = prof->snapshot();
     capture_registry_delta(before, &solution.report);
-    finalize_mis_certificate(g, &solution);
+    finalize_mis_certificate(g, machine_space, &solution);
     emit_solve_finished(&solution.report);
     return solution;
   } catch (...) {
@@ -420,6 +402,7 @@ MatchingSolution Solver::maximal_matching(const graph::Graph& g) const {
     const obs::MetricsSnapshot before =
         obs::MetricsRegistry::global().snapshot();
     MatchingSolution solution;
+    std::uint64_t machine_space = 0;
     obs::RoundProfiler profiler;
     obs::RoundProfiler* prof = options_.profile ? &profiler : nullptr;
     const bool lowdeg =
@@ -435,6 +418,7 @@ MatchingSolution Solver::maximal_matching(const graph::Graph& g) const {
       solution.report.iterations = result.line_mis.stages;
       solution.report.metrics = result.line_mis.metrics;
       solution.report.recovery = result.line_mis.recovery;
+      machine_space = result.line_mis.machine_space;
     } else {
       auto config = pipeline_config<matching::DetMatchingConfig>(options_);
       config.profiler = prof;
@@ -445,6 +429,7 @@ MatchingSolution Solver::maximal_matching(const graph::Graph& g) const {
       solution.report.iterations = result.iterations;
       solution.report.metrics = result.metrics;
       solution.report.recovery = result.recovery;
+      machine_space = result.machine_space;
       fill_audit(&solution.report.sparsify, result.reports,
                  matching::params_for(config, g.num_nodes()).degree_cap(),
                  [](const matching::IterationReport& r) {
@@ -453,7 +438,7 @@ MatchingSolution Solver::maximal_matching(const graph::Graph& g) const {
     }
     if (prof != nullptr) solution.report.profile = prof->snapshot();
     capture_registry_delta(before, &solution.report);
-    finalize_matching_certificate(g, &solution);
+    finalize_matching_certificate(g, machine_space, &solution);
     emit_solve_finished(&solution.report);
     return solution;
   } catch (...) {
@@ -564,7 +549,7 @@ std::string Solver::metrics_openmetrics() const {
 }
 
 verify::Certificate Solver::certify_common(
-    const graph::Graph& g, const SolveReport& report,
+    std::uint64_t machine_space, const SolveReport& report,
     std::vector<verify::ClaimResult> answer_claims,
     const std::function<bool(std::uint64_t*, std::uint64_t*,
                              std::string*)>& replay) const {
@@ -573,8 +558,8 @@ verify::Certificate Solver::certify_common(
   certificate.claims = std::move(answer_claims);
 
   const verify::Certifier certifier(make_executor());
-  certificate.claims.push_back(certifier.check_space_accounting(
-      report.metrics, cluster_config(g.num_nodes(), g.num_edges()).machine_space));
+  certificate.claims.push_back(
+      certifier.check_space_accounting(report.metrics, machine_space));
 
   if (options_.certify == verify::CertifyMode::kFull) {
     certificate.claims.push_back(
@@ -636,6 +621,7 @@ void Solver::record_certificate(verify::Certificate certificate,
 }
 
 void Solver::finalize_mis_certificate(const graph::Graph& g,
+                                      std::uint64_t machine_space,
                                       MisSolution* solution) const {
   if (options_.certify == verify::CertifyMode::kOff) {
     last_certificate_ = verify::Certificate{};
@@ -665,11 +651,13 @@ void Solver::finalize_mis_certificate(const graph::Graph& g,
     return true;
   };
   record_certificate(
-      certify_common(g, solution->report, std::move(claims), replay),
+      certify_common(machine_space, solution->report, std::move(claims),
+                     replay),
       &solution->report);
 }
 
 void Solver::finalize_matching_certificate(const graph::Graph& g,
+                                           std::uint64_t machine_space,
                                            MatchingSolution* solution) const {
   if (options_.certify == verify::CertifyMode::kOff) {
     last_certificate_ = verify::Certificate{};
@@ -706,7 +694,8 @@ void Solver::finalize_matching_certificate(const graph::Graph& g,
     return true;
   };
   record_certificate(
-      certify_common(g, solution->report, std::move(claims), replay),
+      certify_common(machine_space, solution->report, std::move(claims),
+                     replay),
       &solution->report);
 }
 

@@ -117,11 +117,7 @@ class Solver {
   /// The raw geometry cluster(n, m) would use (after overrides).
   mpc::ClusterConfig cluster_config(std::uint64_t n, std::uint64_t m) const;
 
-  /// The typed, versioned report for a finished solve (schema_version,
-  /// algorithm, metrics, recovery ledger, certificate).
-  Report report(const SolveReport& solve_report) const;
-
-  /// Thin wrapper: to_json(report(solve_report)).dump().
+  /// The report JSON of a finished solve: to_json(solve_report).dump().
   std::string report_json(const SolveReport& solve_report) const;
 
   /// The certificate of the most recent solve on this Solver instance
@@ -172,10 +168,11 @@ class Solver {
   /// result when a backend is attached, else a fresh skipped claim.
   verify::ClaimResult storage_claim() const;
 
-  /// Run the shared claim set (space accounting + full-mode pipeline claims
+  /// Run the shared claim set (space accounting against `machine_space`,
+  /// the S of the cluster the pipeline ran on, + full-mode pipeline claims
   /// + replay identity) and append to `answer_claims`.
   verify::Certificate certify_common(
-      const graph::Graph& g, const SolveReport& report,
+      std::uint64_t machine_space, const SolveReport& report,
       std::vector<verify::ClaimResult> answer_claims,
       const std::function<bool(std::uint64_t*, std::uint64_t*, std::string*)>&
           replay) const;
@@ -186,8 +183,10 @@ class Solver {
                           SolveReport* report) const;
 
   void finalize_mis_certificate(const graph::Graph& g,
+                                std::uint64_t machine_space,
                                 MisSolution* solution) const;
   void finalize_matching_certificate(const graph::Graph& g,
+                                     std::uint64_t machine_space,
                                      MatchingSolution* solution) const;
 
   /// Export the pipeline's metrics into the global registry, sample the

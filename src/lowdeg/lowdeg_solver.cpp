@@ -60,10 +60,8 @@ LowDegMisResult lowdeg_mis(const Graph& g, const LowDegConfig& config) {
 
 LowDegMisResult lowdeg_mis(mpc::Cluster& cluster, const Graph& g,
                            const LowDegConfig& config) {
-  if (config.trace != nullptr) cluster.set_trace(config.trace);
-  if (config.profiler != nullptr) cluster.set_profiler(config.profiler);
-  if (config.events != nullptr) cluster.set_events(config.events);
   LowDegMisResult result;
+  result.machine_space = cluster.space();
   result.in_set.assign(g.num_nodes(), false);
   if (g.num_nodes() == 0) return result;
   std::vector<bool> alive(g.num_nodes(), true);
@@ -161,7 +159,7 @@ LowDegMatchingResult lowdeg_matching(const Graph& g,
   cluster.set_executor(exec::Executor::with_threads(config.threads));
   if (!config.faults.empty()) cluster.set_faults(config.faults, config.recovery);
   if (config.storage != nullptr) cluster.set_storage(config.storage);
-  cluster.charge_recoverable(1, "lowdeg/line_graph");
+  cluster.charge("lowdeg/line_graph", 1, 0);
   result.line_mis = lowdeg_mis(cluster, lg, config);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     if (result.line_mis.in_set[e]) result.matching.push_back(e);

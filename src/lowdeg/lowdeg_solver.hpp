@@ -67,6 +67,7 @@ struct LowDegMisResult {
   std::vector<StageOutcome> outcomes;
   mpc::Metrics metrics;
   mpc::RecoveryStats recovery;  ///< All-zero for a fault-free run.
+  std::uint64_t machine_space = 0;  ///< S of the cluster the run used.
 };
 
 /// Phases per stage: the largest l with 4 * Delta^{2l+1} <= S (the radius-2l

@@ -54,9 +54,8 @@ NeighborhoodGather gather_neighborhoods(mpc::Cluster& cluster, const Graph& g,
   out.rounds_charged = static_cast<std::uint64_t>(ceil_log2(
                            std::max<std::uint64_t>(radius, 2))) +
                        1;
-  cluster.charge_recoverable(out.rounds_charged, "lowdeg/gather");
-  cluster.metrics().add_communication(words * cluster.machines(),
-                                      "lowdeg/gather");
+  cluster.charge("lowdeg/gather", out.rounds_charged,
+                 words * cluster.machines());
   return out;
 }
 

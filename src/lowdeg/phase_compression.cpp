@@ -66,10 +66,8 @@ StageOutcome run_stage(mpc::Cluster& cluster, const Graph& g,
   // one broadcast announces it — O(1) charged rounds per stage.
   const std::uint64_t depth =
       cluster.tree_depth(std::max<std::uint64_t>(g.num_nodes(), 2));
-  cluster.charge_recoverable(2 * depth + 1, "lowdeg/stage");
-  cluster.metrics().add_communication(limit * cluster.machines(),
-                                      "lowdeg/stage");
   cluster.check_load(limit, "lowdeg/stage: sequence table", "lowdeg/stage");
+  cluster.charge("lowdeg/stage", 2 * depth + 1, limit * cluster.machines());
 
   // Candidate simulations are independent and pure — run them host-parallel,
   // then pick the minimizer with a serial strict-< scan (ties commit the
@@ -114,7 +112,7 @@ StageOutcome run_stage(mpc::Cluster& cluster, const Graph& g,
   }
   // One more round: winners notify their r-hop balls (§5.2.2, "maintaining
   // the r-th hop neighborhood").
-  cluster.charge_recoverable(1, "lowdeg/ball_update");
+  cluster.charge("lowdeg/ball_update", 1, 0);
   outcome.independent = std::move(best_set);
   outcome.edges_after = graph::alive_edge_count(g, alive, cluster.executor());
   DMPC_CHECK(outcome.edges_after < outcome.edges_before);

@@ -155,9 +155,8 @@ derand::SearchResult select_with_threshold(mpc::Cluster& cluster,
     DMPC_CHECK_MSG(budget > 0, "selection seed space exhausted");
     const std::uint64_t depth = cluster.tree_depth(
         std::max<std::uint64_t>(objective.term_count(), 2));
-    cluster.charge_recoverable(2 * depth, "matching/selection");
-    cluster.metrics().add_communication(budget * cluster.machines(),
-                                        "matching/selection");
+    cluster.charge("matching/selection", 2 * depth,
+                   budget * cluster.machines());
     // Host-parallel batch evaluation through the range oracle (the
     // objective is pure), then a serial lowest-trial-first scan with a
     // strict improvement test — the committed seed is identical for every
@@ -232,9 +231,6 @@ DetMatchingResult det_maximal_matching(const Graph& g,
 
 DetMatchingResult det_maximal_matching(mpc::Cluster& cluster, const Graph& g,
                                        const DetMatchingConfig& config) {
-  if (config.trace != nullptr) cluster.set_trace(config.trace);
-  if (config.profiler != nullptr) cluster.set_profiler(config.profiler);
-  if (config.events != nullptr) cluster.set_events(config.events);
   const sparsify::Params params = params_for(config, g.num_nodes());
   DetMatchingResult result;
   std::vector<bool> alive(g.num_nodes(), true);
@@ -391,6 +387,7 @@ DetMatchingResult det_maximal_matching(mpc::Cluster& cluster, const Graph& g,
                  "det_maximal_matching produced a non-maximal matching");
   result.metrics = cluster.metrics();
   result.recovery = cluster.recovery_stats();
+  result.machine_space = cluster.space();
   return result;
 }
 

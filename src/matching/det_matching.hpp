@@ -122,13 +122,15 @@ struct DetMatchingResult {
   std::vector<IterationReport> reports;
   mpc::Metrics metrics;
   mpc::RecoveryStats recovery;  ///< All-zero for a fault-free run.
+  std::uint64_t machine_space = 0;  ///< S of the cluster the run used.
 };
 
 /// Creates the cluster per the config and runs the full loop.
 DetMatchingResult det_maximal_matching(const graph::Graph& g,
                                        const DetMatchingConfig& config);
 
-/// As above, against a caller-provided cluster (metrics accumulate there).
+/// As above, against a caller-provided cluster (metrics accumulate there;
+/// config.trace/profiler/events are ignored — attach them to the cluster).
 DetMatchingResult det_maximal_matching(mpc::Cluster& cluster,
                                        const graph::Graph& g,
                                        const DetMatchingConfig& config);

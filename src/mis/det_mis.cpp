@@ -149,9 +149,7 @@ derand::SearchResult select_with_threshold(
                    "MIS selection seed space exhausted — guarantee violated");
     const std::uint64_t depth = cluster.tree_depth(
         std::max<std::uint64_t>(objective.term_count(), 2));
-    cluster.charge_recoverable(2 * depth, "mis/selection");
-    cluster.metrics().add_communication(budget * cluster.machines(),
-                                        "mis/selection");
+    cluster.charge("mis/selection", 2 * depth, budget * cluster.machines());
     // Host-parallel batch evaluation through the range oracle (the
     // objective is pure), then a serial lowest-trial-first scan — the
     // committed seed is identical for every thread count and dispatch path.
@@ -224,9 +222,6 @@ DetMisResult det_mis(const Graph& g, const DetMisConfig& config) {
 
 DetMisResult det_mis(mpc::Cluster& cluster, const Graph& g,
                      const DetMisConfig& config) {
-  if (config.trace != nullptr) cluster.set_trace(config.trace);
-  if (config.profiler != nullptr) cluster.set_profiler(config.profiler);
-  if (config.events != nullptr) cluster.set_events(config.events);
   obs::Span pipeline_span(cluster.trace(), "mis/pipeline");
   const sparsify::Params params = params_for(config, g.num_nodes());
   DetMisResult result;
@@ -405,6 +400,7 @@ DetMisResult det_mis(mpc::Cluster& cluster, const Graph& g,
                  "det_mis produced a non-maximal independent set");
   result.metrics = cluster.metrics();
   result.recovery = cluster.recovery_stats();
+  result.machine_space = cluster.space();
   return result;
 }
 

@@ -95,6 +95,7 @@ struct DetMisResult {
   std::vector<MisIterationReport> reports;
   mpc::Metrics metrics;
   mpc::RecoveryStats recovery;  ///< All-zero for a fault-free run.
+  std::uint64_t machine_space = 0;  ///< S of the cluster the run used.
 };
 
 DetMisResult det_mis(const graph::Graph& g, const DetMisConfig& config);

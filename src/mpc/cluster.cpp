@@ -72,8 +72,11 @@ void Cluster::close_open_phase() {
   events_->emit(std::move(e));
 }
 
-void Cluster::emit_round_completed(const std::string& label,
-                                   std::uint64_t rounds) {
+void Cluster::commit(const std::string& label, std::uint64_t rounds) {
+  if (profiler_ != nullptr) {
+    profiler_->commit(label, metrics_.rounds(), rounds,
+                      metrics_.total_communication());
+  }
   if (!obs::events_enabled(events_)) return;
   obs::ProgressEvent e;
   e.type = obs::EventType::kRoundCompleted;
@@ -197,11 +200,7 @@ void Cluster::route_and_deliver(std::vector<std::vector<Message>>& outboxes,
                label, i);
   }
   metrics_.charge_rounds(1, label);
-  if (profiler_ != nullptr) {
-    profiler_->commit(label, metrics_.rounds(), 1,
-                      metrics_.total_communication());
-  }
-  emit_round_completed(label, 1);
+  commit(label, 1);
 }
 
 void Cluster::note_checkpoint(const std::string& label, std::uint64_t words) {
@@ -276,28 +275,21 @@ void Cluster::mark_phase(const std::string& label, std::uint64_t state_words) {
   }
 }
 
-void Cluster::run_with_recovery(const std::string& label,
-                                std::uint64_t round_cost,
-                                std::uint64_t state_words,
-                                const std::function<void()>& body) {
-  if (fault_plan_.empty()) {
-    body();
-    return;
-  }
+void Cluster::charge(const std::string& label, std::uint64_t rounds,
+                     std::uint64_t words, std::uint64_t state_words,
+                     const std::function<void()>& body) {
   const std::uint64_t round = metrics_.rounds();
-  const std::uint64_t cost = std::max<std::uint64_t>(round_cost, 1);
-  // Extend the window back over any rounds charged since the last
-  // recoverable superstep (central simulation charges have no recovery
-  // boundary of their own), so windows tile the round axis and every
-  // in-range event fires exactly once.
+  const std::uint64_t cost = std::max<std::uint64_t>(rounds, 1);
+  // Each window starts where the previous charge's or step's ended, so
+  // windows tile the round axis and every in-range event fires exactly
+  // once. An empty plan has no active events: the body runs once.
   const std::uint64_t begin = std::min(fault_covered_round_, round);
   const std::uint64_t end = round + cost;
   fault_covered_round_ = end;
-  if (recovery_.checkpoint == CheckpointMode::kRound) {
+  if (!fault_plan_.empty() && recovery_.checkpoint == CheckpointMode::kRound) {
     note_checkpoint(label, state_words);
   }
-  std::uint32_t attempt = 0;
-  while (true) {
+  for (std::uint32_t attempt = 0;; ++attempt) {
     bool failed = false;
     for (const FaultEvent* event : fault_plan_.active(begin, end, attempt)) {
       recovery_stats_.faults_injected += 1;
@@ -325,28 +317,20 @@ void Cluster::run_with_recovery(const std::string& label,
     // The body is deterministic and overwrites its outputs, so re-running it
     // after a failed attempt models the lost work while producing the exact
     // fault-free result.
-    body();
+    if (body) body();
     if (!failed) {
       if (attempt > 0) {
         emit_recovery_event(obs::EventType::kRecovered, label, round,
                             static_cast<std::int64_t>(attempt), "");
       }
-      return;
+      break;
     }
     register_retry(label, round, cost, attempt);
-    attempt += 1;
   }
-}
-
-void Cluster::charge_recoverable(std::uint64_t rounds, const std::string& label,
-                                 std::uint64_t state_words) {
-  run_with_recovery(label, rounds, state_words, [] {});
   metrics_.charge_rounds(rounds, label);
-  if (profiler_ != nullptr) {
-    profiler_->commit(label, metrics_.rounds(), rounds,
-                      metrics_.total_communication());
-  }
-  emit_round_completed(label, rounds);
+  // A superstep that sends nothing leaves communication_by_label untouched.
+  if (words > 0) metrics_.add_communication(words, label);
+  commit(label, rounds);
 }
 
 void Cluster::step(const std::function<void(MachineContext&)>& compute,

@@ -116,7 +116,8 @@ class Cluster {
   std::uint64_t machines() const { return config_.num_machines; }
   bool enforce_space() const { return config_.enforce_space; }
 
-  Metrics& metrics() { return metrics_; }
+  /// Read-only: model cost enters Metrics only through charge() and step(),
+  /// so every charge reaches the attached observers.
   const Metrics& metrics() const { return metrics_; }
 
   /// Attach a trace session (non-owning; null detaches). The session is
@@ -126,7 +127,7 @@ class Cluster {
   obs::TraceSession* trace() const { return trace_; }
 
   /// Attach a round profiler (non-owning; null detaches). check_load()
-  /// forwards every observation and each round charge commits a window, so
+  /// forwards every observation and each charge commits a window, so
   /// the profiler sees the skew timeline the aggregate Metrics erases. All
   /// hooks run on the orchestrating thread, and faulted attempts never
   /// charge Metrics, so the profile is byte-identical across thread counts
@@ -134,8 +135,8 @@ class Cluster {
   void set_profiler(obs::RoundProfiler* profiler) { profiler_ = profiler; }
   obs::RoundProfiler* profiler() const { return profiler_; }
 
-  /// Attach a progress-event bus (non-owning; null detaches). Every round
-  /// charge emits a model-section round_completed event (with per-window
+  /// Attach a progress-event bus (non-owning; null detaches). Every charge
+  /// emits a model-section round_completed event (with per-window
   /// load max / Gini when a profiler is also attached); phase marks emit
   /// phase_started/phase_finished pairs; the recovery engine emits
   /// checkpoint/retry/recovered events into the recovery section. All
@@ -189,33 +190,24 @@ class Cluster {
   /// No-op while the fault plan is empty.
   void mark_phase(const std::string& label, std::uint64_t state_words = 0);
 
-  /// Run a centrally-executed primitive (Lemma-4 level) under the fault +
-  /// recovery engine. `round_cost` is the rounds the primitive will charge.
-  /// Its fault window ends at logical_round() + round_cost and starts at the
-  /// end of the previous recoverable superstep's window, so windows tile the
-  /// whole round axis: an event keyed on a round charged outside any
-  /// recoverable superstep (a centrally-simulated selection or gather, say)
-  /// fires at the first recoverable superstep at or after it.
-  /// `state_words` sizes the checkpoint taken before the attempt. `body`
-  /// must be deterministic and idempotent under re-execution (all repo
-  /// primitives are: they overwrite their outputs). Faults scheduled in the
-  /// window abort the attempt, charge retry backoff to RecoveryStats, and
-  /// re-run `body`; exhaustion throws FaultError.
-  void run_with_recovery(const std::string& label, std::uint64_t round_cost,
-                         std::uint64_t state_words,
-                         const std::function<void()>& body);
-
-  /// Charge `rounds` centrally-simulated rounds as a *recoverable*
-  /// superstep: the charge opens a fault window, takes a checkpoint of
-  /// `state_words` words under CheckpointMode::kRound, and goes through the
-  /// retry engine when a crash/drop lands in the window. The replay has no
-  /// body to re-run — a centrally-simulated superstep is deterministic by
-  /// construction, so re-executing it is pure accounting (backoff rounds in
-  /// RecoveryStats). Pipelines must use this instead of
-  /// metrics().charge_rounds() for any charge that represents machine work,
-  /// otherwise faults keyed on those rounds can never fire.
-  void charge_recoverable(std::uint64_t rounds, const std::string& label,
-                          std::uint64_t state_words = 0);
+  /// Charge one superstep: the only way model cost enters Metrics outside
+  /// step(). `body` (the centrally-executed work, if any) runs under the
+  /// fault + recovery engine; then `rounds` and `words` are added to Metrics
+  /// under `label`, and the profiler window and round_completed event are
+  /// committed once, with this superstep's words in them.
+  ///
+  /// The fault window ends at logical_round() + max(rounds, 1) and starts
+  /// at the end of the previous charge's window, so windows tile the whole
+  /// round axis. `state_words` sizes the checkpoint taken before the
+  /// attempt. `body` must be deterministic and idempotent under
+  /// re-execution (all repo primitives overwrite their outputs); a
+  /// centrally-simulated superstep without a body replays as pure
+  /// accounting. Faults scheduled in the window abort the attempt, charge
+  /// retry backoff to RecoveryStats, and re-run `body`; exhaustion throws
+  /// FaultError.
+  void charge(const std::string& label, std::uint64_t rounds,
+              std::uint64_t words, std::uint64_t state_words = 0,
+              const std::function<void()>& body = {});
 
   /// Depth of a fan-in-S aggregation tree over `items` leaves; >= 1.
   /// This is the round cost of prefix sums / broadcast / reduction over a
@@ -261,6 +253,11 @@ class Cluster {
   void route_and_deliver(std::vector<std::vector<Message>>& outboxes,
                          const std::string& label);
 
+  /// Close the superstep just added to Metrics (`rounds` rounds under
+  /// `label`): commit the profiler window, then emit round_completed with
+  /// that window's skew. Shared by charge() and step().
+  void commit(const std::string& label, std::uint64_t rounds);
+
   /// Account one retry of `label` covering `cost` rounds at logical round
   /// `round` after 0-based `attempt` failed. Throws FaultError when
   /// checkpointing is off or the retry budget is exhausted.
@@ -269,11 +266,6 @@ class Cluster {
 
   /// Account one checkpoint of `words` words (optionally traced).
   void note_checkpoint(const std::string& label, std::uint64_t words);
-
-  /// Emit a round_completed event for the charge just committed (`rounds`
-  /// rounds under `label`), carrying the profiler's last window skew when
-  /// one is attached. No-op without an active bus.
-  void emit_round_completed(const std::string& label, std::uint64_t rounds);
 
   /// Emit phase_finished for the currently open phase, if any.
   void close_open_phase();

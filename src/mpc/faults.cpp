@@ -80,91 +80,41 @@ bool parse_kind(const std::string& token, FaultKind* kind) {
 }  // namespace
 
 FaultPlan FaultPlan::parse(const std::string& text) {
+  const parse::PlanGrammar grammar{
+      kMaxLineBytes, kMaxEvents, RecoveryOptions::kMaxRetries,
+      "unknown fault kind (expected crash|drop|duplicate|straggler)",
+      "unknown key (expected round|machine|message|delay|attempts)"};
   FaultPlan plan;
-  std::istringstream lines(text);
-  std::string line;
-  std::uint64_t line_no = 0;
-  while (std::getline(lines, line)) {
-    ++line_no;
-    if (line.size() > kMaxLineBytes) {
-      throw ParseError(ParseErrorCode::kLimitExceeded,
-                       "line exceeds " + std::to_string(kMaxLineBytes) +
-                           " byte limit",
-                       line_no);
-    }
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.resize(hash);
-    }
-    const std::vector<parse::Token> toks = parse::tokenize(line);
-    if (toks.empty()) continue;  // blank / comment-only line
-    FaultEvent event;
-    if (!parse_kind(toks[0].text, &event.kind)) {
-      throw ParseError(ParseErrorCode::kBadToken,
-                       "unknown fault kind "
-                       "(expected crash|drop|duplicate|straggler)",
-                       line_no, toks[0].column, parse::clip(toks[0].text));
-    }
-    for (std::size_t i = 1; i < toks.size(); ++i) {
-      const parse::Token& tok = toks[i];
-      const auto eq = tok.text.find('=');
-      if (eq == std::string::npos) {
-        throw ParseError(ParseErrorCode::kMalformedLine,
-                         "expected key=value", line_no, tok.column,
-                         parse::clip(tok.text));
-      }
-      const std::string key = tok.text.substr(0, eq);
-      // Locate the value token precisely: its column is just past the '='.
-      const parse::Token value_tok{tok.text.substr(eq + 1),
-                                   tok.column + eq + 1};
-      const std::uint64_t value = parse::require_u64(value_tok, line_no);
-      if (key == "round") {
-        event.round = value;
-      } else if (key == "machine") {
-        event.machine = value;
-      } else if (key == "message") {
-        event.message = value;
-      } else if (key == "delay") {
-        event.delay = value;
-      } else if (key == "attempts") {
-        if (value > RecoveryOptions::kMaxRetries + 1ull) {
-          throw ParseError(ParseErrorCode::kOutOfRange,
-                           "attempts exceeds retry cap of " +
-                               std::to_string(RecoveryOptions::kMaxRetries),
-                           line_no, value_tok.column,
-                           parse::clip(value_tok.text));
+  FaultEvent event;
+  parse::scan_plan(
+      text, grammar,
+      [&](const std::string& kind) {
+        event = FaultEvent{};
+        return parse_kind(kind, &event.kind);
+      },
+      [&](const std::string& key, const parse::Token& value_tok,
+          std::uint64_t line) {
+        const std::uint64_t value = parse::require_u64(value_tok, line);
+        if (key == "round") {
+          event.round = value;
+        } else if (key == "machine") {
+          event.machine = value;
+        } else if (key == "message") {
+          event.message = value;
+        } else if (key == "delay") {
+          event.delay = value;
+        } else if (key == "attempts") {
+          event.attempts = static_cast<std::uint32_t>(value);
+        } else {
+          return false;
         }
-        event.attempts = static_cast<std::uint32_t>(value);
-      } else {
-        throw ParseError(ParseErrorCode::kBadToken,
-                         "unknown key "
-                         "(expected round|machine|message|delay|attempts)",
-                         line_no, tok.column, parse::clip(key));
-      }
-    }
-    if (plan.events().size() >= kMaxEvents) {
-      throw ParseError(ParseErrorCode::kLimitExceeded,
-                       "plan exceeds " + std::to_string(kMaxEvents) +
-                           " event limit",
-                       line_no);
-    }
-    plan.add(event);
-  }
+        return true;
+      },
+      [&] { plan.add(event); });
   if (const std::string problem = plan.check(); !problem.empty()) {
     throw ParseError(ParseErrorCode::kOutOfRange, problem);
   }
   return plan;
-}
-
-FaultPlan FaultPlan::parse(const std::string& text, std::string* error) {
-  try {
-    const FaultPlan plan = parse(text);
-    if (error != nullptr) error->clear();
-    return plan;
-  } catch (const ParseError& e) {
-    if (error != nullptr) *error = e.what();
-    return FaultPlan{};
-  }
 }
 
 std::string FaultPlan::to_string() const {

@@ -94,10 +94,6 @@ class FaultPlan {
   /// token) on malformed or oversized input.
   static FaultPlan parse(const std::string& text);
 
-  /// Legacy non-throwing wrapper: on failure returns an empty plan and sets
-  /// *error to the ParseError message.
-  static FaultPlan parse(const std::string& text, std::string* error);
-
   /// Inverse of parse (stable one-line-per-event encoding).
   std::string to_string() const;
 

@@ -73,93 +73,43 @@ bool parse_io_kind(const std::string& token, IoFaultKind* kind) {
 }  // namespace
 
 IoFaultPlan IoFaultPlan::parse(const std::string& text) {
+  const parse::PlanGrammar grammar{
+      kMaxLineBytes, kMaxEvents, RecoveryOptions::kMaxRetries,
+      "unknown io fault kind (expected short_read|eio|corrupt|map_fail|slow)",
+      "unknown key (expected shard|access|delay|attempts)"};
   IoFaultPlan plan;
-  std::istringstream lines(text);
-  std::string line;
-  std::uint64_t line_no = 0;
-  while (std::getline(lines, line)) {
-    ++line_no;
-    if (line.size() > kMaxLineBytes) {
-      throw ParseError(ParseErrorCode::kLimitExceeded,
-                       "line exceeds " + std::to_string(kMaxLineBytes) +
-                           " byte limit",
-                       line_no);
-    }
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.resize(hash);
-    }
-    const std::vector<parse::Token> toks = parse::tokenize(line);
-    if (toks.empty()) continue;  // blank / comment-only line
-    IoFaultEvent event;
-    if (!parse_io_kind(toks[0].text, &event.kind)) {
-      throw ParseError(ParseErrorCode::kBadToken,
-                       "unknown io fault kind "
-                       "(expected short_read|eio|corrupt|map_fail|slow)",
-                       line_no, toks[0].column, parse::clip(toks[0].text));
-    }
-    for (std::size_t i = 1; i < toks.size(); ++i) {
-      const parse::Token& tok = toks[i];
-      const auto eq = tok.text.find('=');
-      if (eq == std::string::npos) {
-        throw ParseError(ParseErrorCode::kMalformedLine,
-                         "expected key=value", line_no, tok.column,
-                         parse::clip(tok.text));
-      }
-      const std::string key = tok.text.substr(0, eq);
-      // Locate the value token precisely: its column is just past the '='.
-      const parse::Token value_tok{tok.text.substr(eq + 1),
-                                   tok.column + eq + 1};
-      if (key == "shard" && value_tok.text == "manifest") {
-        event.shard = kManifestShard;
-        continue;
-      }
-      const std::uint64_t value = parse::require_u64(value_tok, line_no);
-      if (key == "shard") {
-        event.shard = value;
-      } else if (key == "access") {
-        event.access = value;
-      } else if (key == "delay") {
-        event.delay = value;
-      } else if (key == "attempts") {
-        if (value > RecoveryOptions::kMaxRetries + 1ull) {
-          throw ParseError(ParseErrorCode::kOutOfRange,
-                           "attempts exceeds retry cap of " +
-                               std::to_string(RecoveryOptions::kMaxRetries),
-                           line_no, value_tok.column,
-                           parse::clip(value_tok.text));
+  IoFaultEvent event;
+  parse::scan_plan(
+      text, grammar,
+      [&](const std::string& kind) {
+        event = IoFaultEvent{};
+        return parse_io_kind(kind, &event.kind);
+      },
+      [&](const std::string& key, const parse::Token& value_tok,
+          std::uint64_t line) {
+        if (key == "shard" && value_tok.text == "manifest") {
+          event.shard = kManifestShard;
+          return true;
         }
-        event.attempts = static_cast<std::uint32_t>(value);
-      } else {
-        throw ParseError(ParseErrorCode::kBadToken,
-                         "unknown key "
-                         "(expected shard|access|delay|attempts)",
-                         line_no, tok.column, parse::clip(key));
-      }
-    }
-    if (plan.events().size() >= kMaxEvents) {
-      throw ParseError(ParseErrorCode::kLimitExceeded,
-                       "plan exceeds " + std::to_string(kMaxEvents) +
-                           " event limit",
-                       line_no);
-    }
-    plan.add(event);
-  }
+        const std::uint64_t value = parse::require_u64(value_tok, line);
+        if (key == "shard") {
+          event.shard = value;
+        } else if (key == "access") {
+          event.access = value;
+        } else if (key == "delay") {
+          event.delay = value;
+        } else if (key == "attempts") {
+          event.attempts = static_cast<std::uint32_t>(value);
+        } else {
+          return false;
+        }
+        return true;
+      },
+      [&] { plan.add(event); });
   if (const std::string problem = plan.check(); !problem.empty()) {
     throw ParseError(ParseErrorCode::kOutOfRange, problem);
   }
   return plan;
-}
-
-IoFaultPlan IoFaultPlan::parse(const std::string& text, std::string* error) {
-  try {
-    const IoFaultPlan plan = parse(text);
-    if (error != nullptr) error->clear();
-    return plan;
-  } catch (const ParseError& e) {
-    if (error != nullptr) *error = e.what();
-    return IoFaultPlan{};
-  }
 }
 
 std::string IoFaultPlan::to_string() const {

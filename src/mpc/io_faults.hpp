@@ -93,10 +93,6 @@ class IoFaultPlan {
   /// line/column + offending token) on malformed or oversized input.
   static IoFaultPlan parse(const std::string& text);
 
-  /// Legacy non-throwing wrapper: on failure returns an empty plan and sets
-  /// *error to the ParseError message.
-  static IoFaultPlan parse(const std::string& text, std::string* error);
-
   /// Inverse of parse (stable one-line-per-event encoding).
   std::string to_string() const;
 

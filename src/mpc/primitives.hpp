@@ -45,16 +45,13 @@ void dsort(Cluster& cluster, std::vector<T>& v, Less less,
            const std::string& label = "sort") {
   const std::uint64_t arity = (sizeof(T) + 7) / 8;
   check_blocked_layout(cluster, v.size(), arity, label);
+  const std::uint64_t rounds = sort_round_cost(cluster, v.size());
+  const std::uint64_t words = v.size() * arity * rounds;
   // Re-sorting after a replayed attempt is idempotent, so the recovery
   // engine may run the body any number of times.
-  cluster.run_with_recovery(
-      label, sort_round_cost(cluster, v.size()), v.size() * arity,
-      [&] { exec::parallel_sort(cluster.executor(), v, less); });
-  const std::uint64_t rounds = sort_round_cost(cluster, v.size());
-  cluster.metrics().charge_rounds(rounds, label);
-  cluster.metrics().add_communication(v.size() * arity * rounds, label);
-  obs::trace_primitive(cluster.trace(), label, rounds,
-                       v.size() * arity * rounds);
+  cluster.charge(label, rounds, words, v.size() * arity,
+                 [&] { exec::parallel_sort(cluster.executor(), v, less); });
+  obs::trace_primitive(cluster.trace(), label, rounds, words);
 }
 
 /// Exclusive prefix sums of a distributed array (Lemma 4).

@@ -124,7 +124,7 @@ ShardManifest parse_shard_manifest(const unsigned char* data, std::size_t size,
     bad_manifest(ParseErrorCode::kBadHeader, "bad magic");
   }
   const std::uint32_t version = read_u32(data + 8);
-  if (version != 1 && version != kShardFormatVersion) {
+  if (version != kShardFormatVersion) {
     bad_manifest(ParseErrorCode::kBadHeader,
                  "unsupported version " + std::to_string(version));
   }
@@ -134,7 +134,6 @@ ShardManifest parse_shard_manifest(const unsigned char* data, std::size_t size,
                  "unknown flags " + std::to_string(flags));
   }
   ShardManifest manifest;
-  manifest.version = version;
   manifest.n = read_u64(data + 16);
   manifest.m = read_u64(data + 24);
   const std::uint64_t total_slots = read_u64(data + 32);
@@ -171,11 +170,9 @@ ShardManifest parse_shard_manifest(const unsigned char* data, std::size_t size,
                  "shard count " + std::to_string(shard_count) +
                      " not in [1, n]");
   }
-  const std::size_t entry_bytes =
-      version >= 2 ? kManifestEntryBytes : kManifestEntryBytesV1;
-  const std::size_t trailer_bytes = version >= 2 ? kManifestDigestBytes : 0;
-  const std::uint64_t expected_size =
-      kManifestHeaderBytes + shard_count * entry_bytes + trailer_bytes;
+  const std::uint64_t expected_size = kManifestHeaderBytes +
+                                      shard_count * kManifestEntryBytes +
+                                      kManifestDigestBytes;
   if (size != expected_size) {
     bad_manifest(ParseErrorCode::kCountMismatch,
                  "file is " + std::to_string(size) + " bytes, expected " +
@@ -186,7 +183,8 @@ ShardManifest parse_shard_manifest(const unsigned char* data, std::size_t size,
   manifest.shards.reserve(static_cast<std::size_t>(shard_count));
   std::uint64_t node_cursor = 0, edge_cursor = 0, slot_cursor = 0;
   for (std::uint64_t i = 0; i < shard_count; ++i) {
-    const unsigned char* p = data + kManifestHeaderBytes + i * entry_bytes;
+    const unsigned char* p =
+        data + kManifestHeaderBytes + i * kManifestEntryBytes;
     ShardEntry e;
     e.node_begin = read_u64(p);
     e.node_end = read_u64(p + 8);
@@ -195,7 +193,7 @@ ShardManifest parse_shard_manifest(const unsigned char* data, std::size_t size,
     e.slot_begin = read_u64(p + 32);
     e.slot_end = read_u64(p + 40);
     e.file_bytes = read_u64(p + 48);
-    if (version >= 2) e.crc64 = read_u64(p + 56);
+    e.crc64 = read_u64(p + 56);
     const std::string at = "shard " + std::to_string(i) + ": ";
     if (e.node_end < e.node_begin || e.edge_end < e.edge_begin ||
         e.slot_end < e.slot_begin) {
@@ -237,7 +235,7 @@ ShardManifest parse_shard_manifest(const unsigned char* data, std::size_t size,
   }
   // The stored digest is recorded, not enforced: checksum verification is a
   // storage-layer policy (StorageOptions::verify), not a parse defect.
-  if (version >= 2) manifest.digest = read_u64(data + size - 8);
+  manifest.digest = read_u64(data + size - 8);
   return manifest;
 }
 

@@ -21,9 +21,9 @@
 //
 // On-disk layout (all offsets in bytes):
 //
-//   manifest.dshard (version 2; version-1 files remain readable)
+//   manifest.dshard (version 2; any other version is kBadHeader)
 //     0   8  magic "DSHARDm1"
-//     8   4  version (= 2; 1 accepted, reported unverified)
+//     8   4  version (= 2)
 //     12  4  flags (= 0)
 //     16  8  n (node count; 1 <= n <= 2^32 - 2)
 //     24  8  m (canonical edge count)
@@ -32,11 +32,11 @@
 //     44  4  reserved (= 0)
 //     48  8  shard_count (>= 1, <= n)
 //     56  8  shard_words (target words per shard the build used)
-//     64  shard_count x entries (64 bytes in v2, 56 in v1):
+//     64  shard_count x 64-byte entries:
 //           node_begin, node_end, edge_begin, edge_end,
 //           slot_begin, slot_end, file_bytes   (all u64)
-//           crc64 of the shard's whole file    (u64, v2 only)
-//     then (v2 only) 8 bytes: CRC64 of every preceding manifest byte.
+//           crc64 of the shard's whole file    (u64)
+//     then 8 bytes: CRC64 of every preceding manifest byte.
 //
 //   shard-NNNNNN.dshard
 //     0   8  magic "DSHARDs1"
@@ -71,7 +71,6 @@ inline constexpr char kManifestMagic[8] = {'D', 'S', 'H', 'A',
 inline constexpr char kShardMagic[8] = {'D', 'S', 'H', 'A', 'R', 'D', 's', '1'};
 inline constexpr std::uint32_t kShardFormatVersion = 2;
 inline constexpr std::size_t kManifestHeaderBytes = 64;
-inline constexpr std::size_t kManifestEntryBytesV1 = 56;
 inline constexpr std::size_t kManifestEntryBytes = 64;
 inline constexpr std::size_t kManifestDigestBytes = 8;
 inline constexpr std::size_t kShardHeaderBytes = 16;
@@ -96,7 +95,7 @@ struct ShardEntry {
   std::uint64_t slot_begin = 0;
   std::uint64_t slot_end = 0;
   std::uint64_t file_bytes = 0;  ///< Exact size of the shard's file.
-  std::uint64_t crc64 = 0;       ///< CRC-64/XZ of the whole file; 0 in v1.
+  std::uint64_t crc64 = 0;       ///< CRC-64/XZ of the whole file.
 };
 
 struct ShardManifest {
@@ -104,22 +103,15 @@ struct ShardManifest {
   std::uint64_t m = 0;
   std::uint32_t max_degree = 0;
   std::uint64_t shard_words = 0;
-  /// Format version the bytes carried (1 or 2). v1 manifests have no
-  /// checksums: integrity verification reports them as `unverified` instead
-  /// of failing (docs/STORAGE.md trust model).
-  std::uint32_t version = kShardFormatVersion;
-  /// Stored whole-manifest digest (v2; 0 for v1). Parsing records it
-  /// without enforcing it — compare against `manifest_digest` of the raw
-  /// bytes to verify.
+  /// Stored whole-manifest digest. Parsing records it without enforcing
+  /// it — compare against `manifest_digest` of the raw bytes to verify.
   std::uint64_t digest = 0;
   std::vector<ShardEntry> shards;
-
-  bool has_checksums() const { return version >= 2; }
 };
 
 /// The digest a well-formed manifest buffer of `size` bytes must trail with:
 /// CRC64 over its first `size - kManifestDigestBytes` bytes. Call only on
-/// buffers that already parsed as v2.
+/// buffers that already parsed.
 std::uint64_t manifest_digest(const unsigned char* data, std::size_t size);
 
 /// The exact file size a shard with these ranges must have.

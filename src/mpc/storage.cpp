@@ -274,11 +274,6 @@ void MmapShardStorage::rebuild_graph() const {
 
 IntegrityReport MmapShardStorage::verify_integrity() const {
   IntegrityReport report;
-  if (!manifest_.has_checksums()) {
-    report.status = IntegrityReport::Status::kUnverified;
-    report.detail = "v1 manifest carries no checksums";
-    return report;
-  }
   try {
     verify_manifest_or_throw();
     for (std::uint64_t i = 0; i < manifest_.shards.size(); ++i) {
@@ -399,7 +394,7 @@ std::unique_ptr<MmapShardStorage> MmapShardStorage::open(
   // Eager integrity pass (kOpen and kParanoid). Unrecoverable failures —
   // the ladder already retried and quarantined — surface as StorageError so
   // open_storage can degrade per StorageOptions::fallback.
-  if (verify != VerifyMode::kOff && manifest.has_checksums()) {
+  if (verify != VerifyMode::kOff) {
     storage->verify_manifest_or_throw();
     for (std::uint64_t i = 0; i < manifest.shards.size(); ++i) {
       storage->verify_shard_or_throw(i);

@@ -80,8 +80,8 @@ struct StorageOptions {
 
 /// Outcome of a whole-backend integrity pass (Storage::verify_integrity).
 /// Feeds the Certifier's storage_integrity claim: kVerified -> pass,
-/// kUnverified -> skipped (no checksums to check: in-memory backend or a v1
-/// manifest), kFailed -> fail with the first bad shard as witness.
+/// kUnverified -> skipped (no checksums to check: the in-memory backend),
+/// kFailed -> fail with the first bad shard as witness.
 struct IntegrityReport {
   enum class Status : std::uint8_t { kVerified, kUnverified, kFailed };
   Status status = Status::kUnverified;
@@ -189,8 +189,7 @@ class MmapShardStorage final : public Storage {
   IntegrityReport verify_integrity() const override;
   VerifyMode verify_mode() const override { return verify_; }
 
-  /// The parsed manifest ("unverified" v1 manifests report
-  /// has_checksums() == false).
+  /// The parsed manifest.
   const ShardManifest& manifest() const { return manifest_; }
 
  private:

@@ -6,15 +6,16 @@
 // which rounds concentrate it. This module adds two independent profilers:
 //
 //  * RoundProfiler (model side, golden): the Cluster forwards every
-//    check_load() observation and every round charge to an attached
-//    profiler. Observations between two charges form one *window*; a commit
-//    folds the window into a fixed-capacity ring of per-round records
-//    (count/sum/max/mean load, an integer Gini coefficient in ppm, top-k
-//    loaded machines, communication delta). Everything is integer-exact and
-//    driven solely by the orchestrating thread, so the resulting snapshot is
-//    byte-identical across thread counts and admissible fault plans — it
-//    exports into the registry kModel section and the report JSON `profile`
-//    block (schema_version 5) behind SolveOptions::profile.
+//    check_load() observation and every charge to an attached profiler.
+//    Observations between two charges form one *window* — one superstep's
+//    rounds, words and loads; a commit folds the window into a
+//    fixed-capacity ring of per-round records (count/sum/max/mean load, an
+//    integer Gini coefficient in ppm, top-k loaded machines, communication
+//    delta). Everything is integer-exact and driven solely by the
+//    orchestrating thread, so the resulting snapshot is byte-identical
+//    across thread counts and admissible fault plans — it exports into the
+//    registry kModel section and the report JSON `profile` block behind
+//    SolveOptions::profile.
 //
 //  * HostScope (host side, non-golden): RAII scope measuring wall time,
 //    thread-CPU time (CLOCK_THREAD_CPUTIME_ID), and allocation counts/bytes
@@ -109,8 +110,8 @@ std::uint64_t gini_ppm(std::vector<std::uint64_t> samples);
 
 /// Collects the skew timeline. Attach to a Cluster via set_profiler(); the
 /// cluster calls observe_load() from check_load() and commit() after every
-/// round charge (charge_recoverable and route_and_deliver), so windows tile
-/// the round axis exactly like fault windows. Not thread-safe by design:
+/// charge (Cluster::charge and step), so windows tile the round axis exactly
+/// like fault windows and a window's comm_words are its own superstep's. Not thread-safe by design:
 /// both hooks run on the orchestrating thread only.
 class RoundProfiler {
  public:

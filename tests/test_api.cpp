@@ -253,6 +253,28 @@ TEST(SolverCertify, FullModeCertifiesAllClaimsOnBothRegimes) {
   EXPECT_EQ(sparse.report.certificate.claims.size(), 8u);
 }
 
+TEST(SolverCertify, LowDegreeSpaceAccountingUsesTheClusterItRanOn) {
+  // The low-degree pipeline provisions S >= 4 Delta^3 (and matching runs on
+  // the line graph), above the §3/§4 formula for the input graph; the
+  // space_accounting claim must check the S the pipeline actually used.
+  SolveOptions options;
+  options.certify = verify::CertifyMode::kFull;
+  const Solver solver(options);
+  for (const std::uint32_t d : {6u, 8u}) {
+    const Graph g = graph::random_regular(4096, d, 3);
+    const auto mis = solver.mis(g);
+    const auto mm = solver.maximal_matching(g);
+    for (const SolveReport* report : {&mis.report, &mm.report}) {
+      EXPECT_EQ(report->algorithm_used, "lowdeg") << "d=" << d;
+      EXPECT_TRUE(report->certificate.ok()) << "d=" << d;
+      for (const auto& claim : report->certificate.claims) {
+        EXPECT_NE(claim.verdict, verify::Verdict::kFail)
+            << "d=" << d << " " << verify::claim_name(claim.claim);
+      }
+    }
+  }
+}
+
 TEST(SolverCertify, FullModeDoesNotPerturbTheSolve) {
   const Graph g = graph::gnm(256, 4096, 14);
   SolveOptions plain;

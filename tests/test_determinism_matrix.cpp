@@ -316,14 +316,14 @@ TEST(DeterminismMatrix, PowerLaw) {
 //
 // The round profiler (obs/profiler.hpp) extends the matrix: with
 // SolveOptions::profile on, the report's `profile` block — and the whole
-// profiled-schema report around it — must stay byte-identical across
+// profiled report around it — must stay byte-identical across
 // thread counts and admissible fault plans, because every observation and
 // commit happens on the orchestrating thread and only on committing
 // attempts.
 
 struct ProfiledRun {
   std::vector<bool> in_set;
-  std::string report_json;   ///< Schema 5, recovery ledger zeroed.
+  std::string report_json;   ///< Recovery ledger zeroed.
   std::string profile_json;  ///< The profile block alone.
   std::string registry_json;
 };
@@ -354,7 +354,7 @@ TEST(DeterminismMatrix, ProfilerAxis) {
 
   const auto reference = run_profiled(g, /*threads=*/1, mpc::FaultPlan{});
   EXPECT_NE(reference.report_json.find("\"profile\""), std::string::npos);
-  EXPECT_NE(reference.report_json.find("\"schema_version\":7"),
+  EXPECT_NE(reference.report_json.find("\"schema_version\":9"),
             std::string::npos);
   EXPECT_NE(reference.profile_json.find("\"records_committed\""),
             std::string::npos);

@@ -20,6 +20,7 @@
 #include "mpc/primitives.hpp"
 #include "obs/sinks.hpp"
 #include "obs/trace.hpp"
+#include "support/parse_error.hpp"
 
 namespace dmpc {
 namespace {
@@ -43,9 +44,7 @@ TEST(FaultPlan, ParseRoundTrip) {
       "drop round=7 machine=1 message=3\n"
       "duplicate round=9 machine=0 message=0\n"
       "straggler round=12 machine=5 delay=4 attempts=2\n";
-  std::string error;
-  const FaultPlan plan = FaultPlan::parse(text, &error);
-  EXPECT_TRUE(error.empty()) << error;
+  const FaultPlan plan = FaultPlan::parse(text);
   ASSERT_EQ(plan.events().size(), 4u);
   EXPECT_EQ(plan.events()[0].kind, FaultKind::kCrash);
   EXPECT_EQ(plan.events()[0].round, 4u);
@@ -53,19 +52,25 @@ TEST(FaultPlan, ParseRoundTrip) {
   EXPECT_EQ(plan.events()[3].delay, 4u);
   EXPECT_EQ(plan.events()[3].attempts, 2u);
 
-  const FaultPlan again = FaultPlan::parse(plan.to_string(), &error);
-  EXPECT_TRUE(error.empty()) << error;
+  const FaultPlan again = FaultPlan::parse(plan.to_string());
   EXPECT_EQ(again.to_string(), plan.to_string());
 }
 
 TEST(FaultPlan, ParseErrorsCarryLineNumbers) {
-  std::string error;
-  FaultPlan::parse("crash round=1\nfrobnicate round=2\n", &error);
-  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
-
-  error.clear();
-  FaultPlan::parse("crash wat=1\n", &error);
-  EXPECT_NE(error.find("line 1"), std::string::npos) << error;
+  try {
+    FaultPlan::parse("crash round=1\nfrobnicate round=2\n");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 2u);
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+  }
+  try {
+    FaultPlan::parse("crash wat=1\n");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 1u);
+    EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos);
+  }
 }
 
 TEST(FaultPlan, CheckRejectsMalformedEvents) {
@@ -329,16 +334,16 @@ TEST(FaultRecovery, PrimitivesReplayToIdenticalResults) {
 }
 
 TEST(FaultRecovery, WindowsTileAcrossCentralCharges) {
-  // Rounds charged by a centrally-simulated stage (charge_recoverable with
-  // no body) still form fault windows: an event keyed inside such a stage
-  // fires at that stage, not never.
+  // Rounds charged by a centrally-simulated stage (charge with no body)
+  // still form fault windows: an event keyed inside such a stage fires at
+  // that stage, not never.
   FaultPlan plan;
   plan.add({FaultKind::kCrash, /*round=*/3, /*machine=*/0});
 
   Cluster cluster = small_cluster();
   cluster.set_faults(plan, RecoveryOptions{});
-  cluster.charge_recoverable(2, "test/stage_a");  // rounds [0, 2)
-  cluster.charge_recoverable(5, "test/stage_b");  // rounds [2, 7) — fires
+  cluster.charge("test/stage_a", 2, 0);  // rounds [0, 2)
+  cluster.charge("test/stage_b", 5, 0);  // rounds [2, 7) — fires
   EXPECT_EQ(cluster.recovery_stats().crashes, 1u);
   EXPECT_EQ(cluster.recovery_stats().retries_by_label.count("test/stage_b"),
             1u);
@@ -451,17 +456,12 @@ TEST(FaultSolverApi, ReportCarriesSchemaVersionAndRecovery) {
   const Solver solver(options);
   const auto solution = solver.mis(g);
 
-  const Report typed = solver.report(solution.report);
-  EXPECT_EQ(typed.schema_version, kReportSchemaVersion);
-  EXPECT_EQ(typed.algorithm, solution.report.algorithm_used);
-  EXPECT_EQ(typed.recovery.retries, solution.report.recovery.retries);
-
+  EXPECT_GT(solution.report.recovery.retries, 0u);
   const std::string json = solver.report_json(solution.report);
-  EXPECT_NE(json.find("\"schema_version\":6"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"schema_version\":9"), std::string::npos) << json;
   EXPECT_NE(json.find("\"recovery\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"retries_by_label\""), std::string::npos) << json;
-  // Schema >= 4: the golden model section of the registry delta rides
-  // along; schema 6 additionally types the storage recovery sub-block.
+  // The golden model section of the registry delta rides along.
   EXPECT_NE(json.find("\"registry\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"mpc/rounds\""), std::string::npos) << json;
 }

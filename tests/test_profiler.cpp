@@ -1,7 +1,7 @@
 // Tests for the round profiler (obs/profiler.hpp): integer-exact Gini,
 // window/commit semantics, ring eviction, top-k attribution, registry
-// export, the report JSON profile block (profiled schema version behind
-// SolveOptions::profile, 4 without), and host-side scope accounting.
+// export, the report JSON profile block (present exactly under
+// SolveOptions::profile), and host-side scope accounting.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +11,8 @@
 #include "api/report_json.hpp"
 #include "api/solver.hpp"
 #include "graph/generators.hpp"
+#include "mpc/primitives.hpp"
+#include "obs/events.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/profiler.hpp"
 #include "support/json.hpp"
@@ -249,7 +251,7 @@ TEST(ProfiledSolve, ReportCarriesProfileBlockAndProfiledSchema) {
     }
   }
   const std::string json = to_json(solution.report).dump();
-  EXPECT_NE(json.find("\"schema_version\":7"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":9"), std::string::npos);
   EXPECT_NE(json.find("\"profile\""), std::string::npos);
 }
 
@@ -258,7 +260,7 @@ TEST(ProfiledSolve, OffByDefaultKeepsBaseSchemaAndNoProfileKey) {
   const auto solution = Solver(SolveOptions{}).mis(g);
   EXPECT_FALSE(solution.report.profile.enabled);
   const std::string json = to_json(solution.report).dump();
-  EXPECT_NE(json.find("\"schema_version\":6"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":9"), std::string::npos);
   EXPECT_EQ(json.find("\"profile\""), std::string::npos);
 }
 
@@ -276,6 +278,68 @@ TEST(ProfiledSolve, ProfileDoesNotPerturbSolutionOrMetrics) {
   // Profile totals agree with the metrics the solve already reports.
   EXPECT_EQ(b.report.profile.load_max,
             b.report.metrics.peak_machine_load());
+}
+
+// Every superstep reaches Metrics through Cluster::charge or step(), which
+// commit one profiler window and emit one round_completed after the
+// superstep's rounds and words are in. So the observers add up to Metrics
+// per label and in total, on both pipelines.
+void expect_observers_add_up(const graph::Graph& g, bool matching,
+                             const std::string& algorithm) {
+  obs::CollectorEventSink collector;
+  obs::EventBus bus;
+  ASSERT_TRUE(bus.subscribe(&collector));
+  SolveOptions options;
+  options.profile = true;
+  options.events = &bus;
+  const Solver solver(options);
+  const SolveReport report = matching ? solver.maximal_matching(g).report
+                                      : solver.mis(g).report;
+  ASSERT_EQ(report.algorithm_used, algorithm);
+  const mpc::Metrics& metrics = report.metrics;
+  const auto& by_label = report.profile.by_label;
+  EXPECT_EQ(by_label.size(), metrics.rounds_by_label().size());
+  for (const auto& [label, rounds] : metrics.rounds_by_label()) {
+    ASSERT_EQ(by_label.count(label), 1u) << label;
+    EXPECT_EQ(by_label.at(label).rounds, rounds) << label;
+    const auto comm = metrics.communication_by_label().find(label);
+    const std::uint64_t words =
+        comm == metrics.communication_by_label().end() ? 0 : comm->second;
+    EXPECT_EQ(by_label.at(label).comm_words, words) << label;
+  }
+  std::uint64_t event_rounds = 0;
+  std::uint64_t last_comm = 0;
+  for (const obs::ProgressEvent& e : collector.events()) {
+    if (e.type != obs::EventType::kRoundCompleted) continue;
+    event_rounds += e.rounds;
+    last_comm = e.comm_words;
+  }
+  EXPECT_EQ(event_rounds, metrics.rounds());
+  EXPECT_EQ(last_comm, metrics.total_communication());
+}
+
+TEST(ProfiledSolve, ProfileAndEventsAddUpToMetricsOnBothPipelines) {
+  const auto sparse = graph::gnm(2048, 16384, 7);
+  const auto regular = graph::random_regular(4096, 6, 3);
+  expect_observers_add_up(sparse, /*matching=*/false, "sparsification");
+  expect_observers_add_up(sparse, /*matching=*/true, "sparsification");
+  expect_observers_add_up(regular, /*matching=*/false, "lowdeg");
+  expect_observers_add_up(regular, /*matching=*/true, "lowdeg");
+}
+
+TEST(ProfiledSolve, PrimitiveChargeCommitsAProfilerRecord) {
+  mpc::Cluster cluster(mpc::ClusterConfig{64, 8, true});
+  obs::RoundProfiler profiler;
+  cluster.set_profiler(&profiler);
+  const std::vector<std::uint64_t> values(100, 1);
+  const auto prefix = mpc::prefix_sum_exclusive(cluster, values, "scan");
+  EXPECT_EQ(prefix.back(), 99u);
+  ASSERT_EQ(profiler.records_committed(), 1u);
+  const obs::ProfileRecord* record = profiler.last_record();
+  EXPECT_EQ(record->label, "scan");
+  EXPECT_EQ(record->rounds, cluster.metrics().rounds());
+  EXPECT_EQ(record->comm_words, cluster.metrics().total_communication());
+  EXPECT_EQ(record->load_count, 1u);  // the block-layout check
 }
 
 // ---- Host-side scopes ----

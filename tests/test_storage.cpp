@@ -450,8 +450,6 @@ TEST(StorageIntegrity, BuilderStampsV2ChecksumsThatVerify) {
   build_shards(dir);
   const auto storage =
       MmapShardStorage::open(dir.str("shards"), {}, VerifyMode::kOpen);
-  EXPECT_EQ(storage->manifest().version, 2u);
-  EXPECT_TRUE(storage->manifest().has_checksums());
   for (const ShardEntry& e : storage->manifest().shards) {
     EXPECT_NE(e.crc64, 0u);
   }
@@ -507,10 +505,10 @@ TEST(StorageIntegrity, VerifyOffTrustsBytesButIntegrityPassFails) {
   EXPECT_GT(storage->io_recovery().checksum_failures, 0u);
 }
 
-TEST(StorageIntegrity, V1ManifestOpensAndReportsUnverified) {
+TEST(StorageIntegrity, V1ManifestIsRejectedAsBadHeader) {
   TempDir dir("dmpc_integrity_v1");
-  const Graph g = build_shards(dir);
-  // Rewrite the manifest as version 1: 56-byte entries, no digest.
+  build_shards(dir);
+  // The same manifest as version-1 bytes: 56-byte entries, no digest.
   const fs::path manifest_path = dir.path() / "shards" / kManifestFileName;
   std::vector<unsigned char> bytes;
   {
@@ -524,24 +522,19 @@ TEST(StorageIntegrity, V1ManifestOpensAndReportsUnverified) {
                                 bytes.begin() + kManifestHeaderBytes);
   const std::uint32_t version = 1;
   std::memcpy(v1.data() + 8, &version, sizeof(version));
+  constexpr std::size_t kEntryBytesV1 = 56;  // v2 entries minus the crc64
   for (std::size_t i = 0; i < manifest.shards.size(); ++i) {
     const unsigned char* entry =
         bytes.data() + kManifestHeaderBytes + i * kManifestEntryBytes;
-    v1.insert(v1.end(), entry, entry + kManifestEntryBytesV1);
+    v1.insert(v1.end(), entry, entry + kEntryBytesV1);
   }
-  {
-    std::ofstream out(manifest_path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(v1.data()),
-              static_cast<std::streamsize>(v1.size()));
+  // Version 1 is an unknown version like any other.
+  try {
+    parse_shard_manifest(v1.data(), v1.size());
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.code(), ParseErrorCode::kBadHeader);
   }
-  // verify=open on a v1 directory is a no-op (nothing checksummed), the
-  // graph is served as before, and the integrity pass says "unverified".
-  const auto storage =
-      MmapShardStorage::open(dir.str("shards"), {}, VerifyMode::kOpen);
-  EXPECT_FALSE(storage->manifest().has_checksums());
-  expect_identical_graphs(g, storage->graph());
-  const IntegrityReport report = storage->verify_integrity();
-  EXPECT_EQ(report.status, IntegrityReport::Status::kUnverified);
 }
 
 TEST(StorageIntegrity, TransientInjectedFaultsRecoverIdentically) {

@@ -31,12 +31,11 @@
 // before it is reported, a one-line certificate verdict is printed, and a
 // failed certificate exits 3. --profile records the per-round load-skew
 // timeline (docs/OBSERVABILITY.md): report JSON and --metrics-out gain a
-// `profile` block (kProfiledReportSchemaVersion), and traces gain hostprof
-// counters.
+// `profile` block, and traces gain hostprof counters.
 // --storage=mmap --shard-dir=<dir> solves out of a shard directory built by
 // tools/shard_build instead of parsing --in (docs/STORAGE.md); answers and
 // report JSON are byte-identical to the in-memory backend.
-// --storage-verify re-computes the v2 manifest's shard CRC64s (open: once at
+// --storage-verify re-computes the manifest's shard CRC64s (open: once at
 // open; paranoid: again when the solve attaches); a mismatch that survives
 // the retry/quarantine ladder exits 2, or degrades to the in-memory backend
 // under --storage-fallback=memory. --io-fault-plan injects a deterministic
@@ -44,8 +43,8 @@
 // are byte-identical to the fault-free run for any plan within budget.
 // --events streams typed JSONL progress events (docs/OBSERVABILITY.md,
 // "Live telemetry"); --events-filter narrows categories, --progress mirrors
-// lifecycle events as a throttled stderr line, and the report is stamped
-// with the events schema version. --metrics-format=openmetrics switches
+// lifecycle events as a throttled stderr line, and the report gains an
+// `events_summary` block. --metrics-format=openmetrics switches
 // --metrics-out to the OpenMetrics v1.0 text exposition; --host-sample-ms
 // runs a periodic host-gauge sampler whose ring rides along in the JSON
 // metrics document as `host_samples` (host section — never golden).
@@ -181,9 +180,9 @@ dmpc::CliSolveOptions solve_options(const dmpc::ArgParser& args) {
 // --metrics-out: full registry snapshot delta for the solve, all three
 // sections grouped (docs/OBSERVABILITY.md). The model subtree is golden;
 // host/recovery are diagnostic. Under --profile the skew timeline rides
-// along as a `profile` block; with --events an `events_summary` block rides
-// along too, and the document is stamped with the highest enabled schema
-// tier. --metrics-format=openmetrics writes the OpenMetrics v1.0 text
+// along as a `profile` block and with --events an `events_summary` block;
+// the document carries the one report schema version.
+// --metrics-format=openmetrics writes the OpenMetrics v1.0 text
 // exposition instead (host_samples stays JSON-only: OpenMetrics exposes the
 // registry's *current* state, not a timeline).
 void write_metrics(const dmpc::CliSolveOptions& cli, const dmpc::Solver& solver,
@@ -203,16 +202,10 @@ void write_metrics(const dmpc::CliSolveOptions& cli, const dmpc::Solver& solver,
     f << solver.metrics_openmetrics();
     return;
   }
-  const bool profiled = report.profile.enabled;
-  const std::uint32_t schema =
-      report.events.enabled
-          ? dmpc::kEventsReportSchemaVersion
-          : (profiled ? dmpc::kProfiledReportSchemaVersion
-                      : dmpc::kReportSchemaVersion);
   auto out = dmpc::Json::object()
-                 .set("schema_version", schema)
+                 .set("schema_version", dmpc::kReportSchemaVersion)
                  .set("registry", dmpc::obs::to_json(solver.metrics_snapshot()));
-  if (profiled) out.set("profile", to_json(report.profile));
+  if (report.profile.enabled) out.set("profile", to_json(report.profile));
   if (report.events.enabled) {
     out.set("events_summary", dmpc::to_json(report.events));
   }
