@@ -478,13 +478,12 @@ Json e8_points(const RunConfig& cfg) {
   for (const std::uint64_t n : ns) {
     for (const std::uint64_t eps_tenths : {3ull, 5ull, 7ull}) {
       const auto g = sweep_gnm(n, /*experiment=*/8);
-      dmpc::mis::DetMisConfig config;
-      config.eps = double(eps_tenths) / 10.0;
-      const auto cc =
-          dmpc::mis::cluster_config_for(config, g.num_nodes(), g.num_edges());
       PointScope scope;
       auto options = solver_options(cfg);
-      options.eps = config.eps;
+      options.eps = double(eps_tenths) / 10.0;
+      const auto cc =
+          dmpc::mpc::provision({}, g.num_nodes(), g.num_edges(), options.eps,
+                               options.space_headroom);
       const auto solution = dmpc::Solver(options).mis(g);
       const auto& m = solution.report.metrics;
       points.push(scope.finish(
@@ -580,11 +579,9 @@ Json e11_points(const RunConfig& cfg) {
                                     static_cast<EdgeId>(n * n / 16), 1300 + n);
     PointScope scope;
     dmpc::matching::DetMatchingConfig config;
-    const auto cc = dmpc::matching::cluster_config_for(config, g.num_nodes(),
-                                                       g.num_edges());
-    auto unchecked = cc;
-    unchecked.enforce_space = false;
-    dmpc::mpc::Cluster cluster(unchecked);
+    dmpc::mpc::Cluster cluster(dmpc::mpc::provision(
+        {.enforce_space = false}, g.num_nodes(), g.num_edges(), config.eps,
+        config.space_headroom));
     const auto params = dmpc::matching::params_for(config, g.num_nodes());
     std::vector<bool> alive(g.num_nodes(), true);
     const auto good =
@@ -612,13 +609,13 @@ Json e11_points(const RunConfig& cfg) {
     points.push(scope.finish(
         Json(n),
         Json::object()
-            .set("s_budget", cc.machine_space)
+            .set("s_budget", cluster.space())
             .set("two_hop_without_estar", without)
             .set("two_hop_with_estar", with)
             .set("fits_without",
-                 static_cast<std::uint64_t>(without <= cc.machine_space))
+                 static_cast<std::uint64_t>(without <= cluster.space()))
             .set("fits_with",
-                 static_cast<std::uint64_t>(with <= cc.machine_space))));
+                 static_cast<std::uint64_t>(with <= cluster.space()))));
   }
   return points;
 }

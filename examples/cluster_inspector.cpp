@@ -25,7 +25,8 @@ int main(int argc, char** argv) {
     dmpc::mis::DetMisConfig config;
     config.eps = eps;
     const auto cc =
-        dmpc::mis::cluster_config_for(config, g.num_nodes(), g.num_edges());
+        dmpc::mpc::provision(config.cluster, g.num_nodes(), g.num_edges(),
+                             config.eps, config.space_headroom);
     const auto result = dmpc::mis::det_mis(g, config);
     std::printf("\n-- eps=%.1f: S=%llu words, M=%llu machines --\n", eps,
                 static_cast<unsigned long long>(cc.machine_space),

@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
   dmpc::matching::DetMatchingConfig config;
   const auto params = dmpc::matching::params_for(config, g.num_nodes());
   const auto cluster_config =
-      dmpc::matching::cluster_config_for(config, g.num_nodes(), g.num_edges());
+      dmpc::mpc::provision(config.cluster, g.num_nodes(), g.num_edges(),
+                           config.eps, config.space_headroom);
   dmpc::mpc::Cluster cluster(cluster_config);
 
   std::printf("== one §3 iteration on G(n=%u, m=%llu) ==\n", n,

@@ -51,10 +51,9 @@ struct SolveOptions {
   /// this changes wall time only — solutions, reports, and golden JSONL
   /// traces are byte-identical for every value (see docs/API.md).
   std::uint32_t threads = 1;
-  /// Cluster provisioning. The Solver owns the derivation (S and M are
-  /// auto-sized from n, eps, and space_headroom when this is default);
-  /// non-zero fields pin an exact geometry. Hand-building mpc::ClusterConfig
-  /// at call sites is deprecated in favor of these overrides.
+  /// Cluster geometry overrides. Zero fields are provisioned from n, m, eps
+  /// and space_headroom (mpc::provision); non-zero fields pin an exact
+  /// geometry.
   mpc::ClusterOverrides cluster;
   /// Graph residency selection: the in-memory CSR (default) or a mapped
   /// shard directory built by tools/shard_build (backend == kMmap requires

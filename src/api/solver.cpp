@@ -18,20 +18,32 @@ namespace dmpc {
 
 namespace {
 
-// Copy the SolveOptions fields every pipeline config shares. The three
-// config types deliberately have identical field names, so one template
-// replaces the former per-call-site copies.
+// The cluster every solve (and Solver::cluster) is built from: the geometry
+// overrides, threads, fault plan and observers of `options`. Zero geometry
+// fields are provisioned for the input by mpc::provision.
+mpc::ClusterConfig cluster_request(const SolveOptions& options) {
+  mpc::ClusterConfig cluster;
+  cluster.machine_space = options.cluster.machine_space;
+  cluster.num_machines = options.cluster.num_machines;
+  cluster.enforce_space = options.cluster.enforce_space;
+  cluster.threads = options.threads;
+  cluster.faults = options.faults;
+  cluster.recovery = options.recovery;
+  cluster.trace = options.trace;
+  cluster.events = options.events;
+  return cluster;
+}
+
+// The three pipeline configs share these field names, so one template fills
+// any of them.
 template <typename Config>
-Config pipeline_config(const SolveOptions& options) {
+Config pipeline_config(const SolveOptions& options,
+                       obs::RoundProfiler* profiler) {
   Config config;
-  config.trace = options.trace;
-  config.events = options.events;
   config.eps = options.eps;
   config.space_headroom = options.space_headroom;
-  config.threads = options.threads;
-  config.cluster = options.cluster;
-  config.faults = options.faults;
-  config.recovery = options.recovery;
+  config.cluster = cluster_request(options);
+  config.cluster.profiler = profiler;
   return config;
 }
 
@@ -199,29 +211,10 @@ exec::Executor Solver::make_executor() const {
   return exec::Executor::with_threads(options_.threads);
 }
 
-mpc::ClusterConfig Solver::cluster_config(std::uint64_t n,
-                                          std::uint64_t m) const {
-  require_valid();
-  // The §3/§4 provisioning formula (shared by both sparsification
-  // pipelines): S = max(64, headroom * n^eps), M sized to hold the input
-  // with the paper's constant-factor total-space slack.
-  matching::DetMatchingConfig base;
-  base.eps = options_.eps;
-  base.space_headroom = options_.space_headroom;
-  return mpc::apply_overrides(matching::cluster_config_for(base, n, m),
-                              options_.cluster);
-}
-
 mpc::Cluster Solver::cluster(std::uint64_t n, std::uint64_t m) const {
-  mpc::Cluster cluster(cluster_config(n, m));
-  cluster.set_executor(make_executor());
-  if (!options_.faults.empty()) {
-    cluster.set_faults(options_.faults, options_.recovery);
-  }
-  // Deliberately no set_trace here: the session would bind to this
-  // instance's Metrics and dangle after the move; callers attach a trace to
-  // the placed cluster.
-  return cluster;
+  require_valid();
+  return mpc::Cluster(mpc::provision(cluster_request(options_), n, m,
+                                     options_.eps, options_.space_headroom));
 }
 
 void Solver::emit_solve_started(const char* algorithm,
@@ -357,9 +350,7 @@ MisSolution Solver::mis(const graph::Graph& g) const {
         options_.algorithm == Algorithm::kLowDegree ||
         (options_.algorithm == Algorithm::kAuto && low_degree_regime(g));
     if (lowdeg) {
-      auto config = pipeline_config<lowdeg::LowDegConfig>(options_);
-      config.profiler = prof;
-      config.storage = active_storage_;
+      const auto config = pipeline_config<lowdeg::LowDegConfig>(options_, prof);
       auto result = lowdeg::lowdeg_mis(g, config);
       solution.in_set = std::move(result.in_set);
       solution.report.algorithm_used = "lowdeg";
@@ -368,9 +359,7 @@ MisSolution Solver::mis(const graph::Graph& g) const {
       solution.report.recovery = result.recovery;
       machine_space = result.machine_space;
     } else {
-      auto config = pipeline_config<mis::DetMisConfig>(options_);
-      config.profiler = prof;
-      config.storage = active_storage_;
+      const auto config = pipeline_config<mis::DetMisConfig>(options_, prof);
       auto result = mis::det_mis(g, config);
       solution.in_set = std::move(result.in_set);
       solution.report.algorithm_used = "sparsification";
@@ -409,9 +398,7 @@ MatchingSolution Solver::maximal_matching(const graph::Graph& g) const {
         options_.algorithm == Algorithm::kLowDegree ||
         (options_.algorithm == Algorithm::kAuto && low_degree_regime(g));
     if (lowdeg) {
-      auto config = pipeline_config<lowdeg::LowDegConfig>(options_);
-      config.profiler = prof;
-      config.storage = active_storage_;
+      const auto config = pipeline_config<lowdeg::LowDegConfig>(options_, prof);
       auto result = lowdeg::lowdeg_matching(g, config);
       solution.matching = std::move(result.matching);
       solution.report.algorithm_used = "lowdeg";
@@ -420,9 +407,8 @@ MatchingSolution Solver::maximal_matching(const graph::Graph& g) const {
       solution.report.recovery = result.line_mis.recovery;
       machine_space = result.line_mis.machine_space;
     } else {
-      auto config = pipeline_config<matching::DetMatchingConfig>(options_);
-      config.profiler = prof;
-      config.storage = active_storage_;
+      const auto config =
+          pipeline_config<matching::DetMatchingConfig>(options_, prof);
       auto result = matching::det_maximal_matching(g, config);
       solution.matching = std::move(result.matching);
       solution.report.algorithm_used = "sparsification";
@@ -588,12 +574,9 @@ verify::Certificate Solver::certify_common(
 
 void Solver::record_certificate(verify::Certificate certificate,
                                 SolveReport* report) const {
-  // Certification happens after the pipeline (and its cluster) are gone; a
-  // still-attached session would snapshot freed Metrics, so detach before
-  // opening the verify span. The span comes strictly after every pipeline
-  // span: a certify=off trace is a byte-prefix of the certify=on trace.
+  // The span comes strictly after every pipeline span: a certify=off trace
+  // is a byte-prefix of the certify=on trace.
   if (obs::enabled(options_.trace)) {
-    options_.trace->attach_metrics(nullptr);
     obs::Span span(options_.trace, "verify/certify");
     span.arg("mode", std::string(verify::certify_mode_name(certificate.mode)));
     span.arg("claims", static_cast<std::uint64_t>(certificate.claims.size()));

@@ -76,14 +76,13 @@ class Solver {
   /// Throws OptionsError if validate() fails.
   MatchingSolution maximal_matching(const graph::Graph& g) const;
 
-  /// Storage-seam entry points: solve the graph owned by `storage`, attach
-  /// the backend to the pipeline's cluster (mpc::Cluster::set_storage), and
-  /// export its residency stats into the registry's kHost section (so
+  /// Storage entry points: solve the graph owned by `storage` and export
+  /// the backend's residency stats into the registry's kHost section (so
   /// --metrics-out and benches see storage/bytes_mapped etc.). The answer
   /// and every kModel byte are identical to the plain-graph overloads.
   ///
   /// When the backend was opened with VerifyMode::kParanoid, or certify is
-  /// on, the attach runs a pre-solve integrity gate
+  /// on, the solve first runs an integrity gate
   /// (Storage::verify_integrity — retries and quarantine engaged): a backend
   /// that still fails surfaces as CertificationError (failed
   /// storage_integrity claim) in checked mode, else as mpc::StorageError —
@@ -107,15 +106,10 @@ class Solver {
   exec::Executor make_executor() const;
 
   /// The cluster this solver would provision for an (n, m)-size input:
-  /// geometry auto-sized from eps/space_headroom, overrides applied, the
-  /// executor and fault plan installed. This is the supported way for
-  /// benches and tests to obtain a cluster (hand-building mpc::ClusterConfig
-  /// is deprecated); attach a trace session to the placed instance
-  /// afterwards if needed. Throws OptionsError on invalid options.
+  /// geometry from mpc::provision(eps, space_headroom) with the
+  /// options().cluster overrides, plus the options' threads, fault plan,
+  /// trace session and event bus. Throws OptionsError on invalid options.
   mpc::Cluster cluster(std::uint64_t n, std::uint64_t m) const;
-
-  /// The raw geometry cluster(n, m) would use (after overrides).
-  mpc::ClusterConfig cluster_config(std::uint64_t n, std::uint64_t m) const;
 
   /// The report JSON of a finished solve: to_json(solve_report).dump().
   std::string report_json(const SolveReport& solve_report) const;
@@ -198,10 +192,9 @@ class Solver {
                               SolveReport* report) const;
 
   SolveOptions options_;
-  /// Storage backend attached for the duration of a storage-overload solve
-  /// (mutable output-slot style, like the certificate): pipeline configs
-  /// pick it up so the cluster sees its residency seam, and
-  /// capture_registry_delta exports its host stats.
+  /// Storage backend of the running storage-overload solve (mutable
+  /// output-slot style, like the certificate): capture_registry_delta
+  /// exports its host stats and recovery ledger.
   mutable const mpc::Storage* active_storage_ = nullptr;
   /// The attached backend's integrity verdict from the pre-solve gate
   /// (meaningful only while active_storage_ is set).

@@ -57,7 +57,9 @@ DerandColoringResult derand_coloring(const Graph& g,
   result.color.assign(n, 0);
   if (n == 0) return result;
 
-  // Model: the cluster mirrors the MIS pipeline's provisioning.
+  // Model: S = max(64, 8 * floor(sqrt(n))) and
+  // M = ceil(8 * (2m + n + 2) / S) + 1. This is its own rule, not
+  // mpc::provision: it floors sqrt(n) before scaling and counts 2m words.
   mpc::ClusterConfig cc;
   cc.machine_space = std::max<std::uint64_t>(
       64, 8 * ipow_real(std::max<std::uint64_t>(n, 2), 0.5));

@@ -4,6 +4,8 @@
 #include <numeric>
 #include <vector>
 
+#include "derand/cond_expect.hpp"
+#include "hash/kwise.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -180,6 +182,74 @@ SearchResult find_best_seed(mpc::Cluster& cluster, const Objective& objective,
   record_search(result);
   record_batch_stats(batch_stats);
   return result;
+}
+
+SearchResult select_seed(mpc::Cluster& cluster, const RangeObjective& objective,
+                         const hash::KWiseFamily& family,
+                         const SelectionOptions& options) {
+  const std::uint64_t seed_count = family.seed_count();
+  SearchResult best;
+  if (options.mode == SelectionMode::kConditionalExpectation) {
+    // Fix the two coefficients of the pairwise seed chunk by chunk with
+    // exact conditional expectations. The oracle enumerates suffixes, so
+    // keep the family small.
+    DMPC_CHECK_MSG(seed_count <= (1ULL << 22),
+                   "conditional-expectation selection needs a small "
+                   "instance (family of <= 2^22 seeds)");
+    const hash::SeedSpace space({family.p(), family.p()});
+    ExhaustiveConditional conditional(objective, space);
+    FixOptions fix_options;
+    fix_options.guarantee = 0.0;
+    fix_options.label = options.label + "_ce";
+    const FixResult fixed = fix_seed(cluster, conditional, space, fix_options);
+    best.seed = fixed.seed;
+    best.value = fixed.value;
+    best.trials = space.size();
+    return best;
+  }
+  obs::HostScope host_scope("derand/selection", cluster.trace());
+  obs::Span span(cluster.trace(), options.label);
+  bool have = false;
+  std::uint64_t evaluated = 0;
+  double t = options.threshold;
+  BatchStats batch_stats;
+  auto seed_at = [&](std::uint64_t k) {
+    const __uint128_t pos =
+        static_cast<__uint128_t>(k) * 0xBF58476D1CE4E5B9ULL +
+        options.salt * 0x9E3779B97F4A7C15ULL;
+    return static_cast<std::uint64_t>(pos % seed_count);
+  };
+  while (true) {
+    const std::uint64_t budget =
+        std::min<std::uint64_t>(options.batch, seed_count - evaluated);
+    DMPC_CHECK_MSG(budget > 0, options.label
+                                   << ": seed space exhausted — guarantee "
+                                      "violated");
+    charge_batch(cluster, objective.term_count(), budget, options.label);
+    std::vector<std::uint64_t> seeds(budget);
+    for (std::uint64_t i = 0; i < budget; ++i) {
+      seeds[i] = seed_at(evaluated + i);
+    }
+    std::vector<double> values(budget, 0.0);
+    batch_stats += batch_evaluate(cluster.executor(), objective, seeds.data(),
+                                  budget, values.data());
+    for (std::uint64_t i = 0; i < budget; ++i) {
+      if (!have || values[i] > best.value) {
+        have = true;
+        best.seed = seeds[i];
+        best.value = values[i];
+      }
+    }
+    evaluated += budget;
+    best.trials = evaluated;
+    if (have && best.value >= t && best.value > 0) {
+      span.arg("candidate_seeds", best.trials);
+      span.arg("committed_seed", best.seed);
+      record_batch_stats(batch_stats);
+      return best;
+    }
+    if (evaluated % kTrialsPerThreshold == 0) t /= 2.0;
+  }
 }
 
 }  // namespace dmpc::derand

@@ -28,6 +28,10 @@
 #include "derand/objective.hpp"
 #include "mpc/cluster.hpp"
 
+namespace dmpc::hash {
+class KWiseFamily;
+}
+
 namespace dmpc::derand {
 
 /// Threshold-search knobs on top of the shared engine surface
@@ -83,5 +87,45 @@ SearchResult find_seed(mpc::Cluster& cluster, const Objective& objective,
 SearchResult find_best_seed(mpc::Cluster& cluster, const Objective& objective,
                             std::uint64_t seed_count, std::uint64_t budget,
                             const std::string& label = "seed_search");
+
+/// How a pipeline commits its per-iteration selection seed.
+enum class SelectionMode {
+  /// Batched best-of threshold search over the family (production path).
+  kThresholdSearch,
+  /// The textbook §2.4 method of conditional expectations with the
+  /// exact-enumeration oracle. Exponential in the seed length, so only
+  /// valid for small instances (the family size is checked); it shows the
+  /// paper's §2.4 machinery end to end in the real pipelines.
+  kConditionalExpectation,
+};
+
+/// Seeds per threshold level before the selection threshold is halved: the
+/// finite-n escape hatch of the Lemma 13 / Lemma 21 selections. Any seed
+/// with a positive value eventually qualifies, so the search terminates.
+inline constexpr std::uint64_t kTrialsPerThreshold = 256;
+
+struct SelectionOptions {
+  /// Round-charge label and span name ("mis/selection"); the §2.4 path
+  /// charges under label + "_ce".
+  std::string label;
+  SelectionMode mode = SelectionMode::kThresholdSearch;
+  /// Candidates per O(1)-round batch.
+  std::uint64_t batch = 16;
+  /// The lemma's threshold on the objective.
+  double threshold = 0.0;
+  /// Decorrelates the committed seeds of successive iterations: trial k
+  /// evaluates a stride-scrambled walk over the family offset by `salt`.
+  std::uint64_t salt = 0;
+};
+
+/// Commit the selection seed of one pipeline iteration over the pairwise
+/// `family` the objective is bound to. The threshold search evaluates
+/// batches of candidates (host-parallel, then a serial lowest-trial-first
+/// scan, so the committed seed is identical for every thread count) and
+/// commits the best seed so far once its value is positive and meets the
+/// threshold, halving the threshold every kTrialsPerThreshold trials.
+SearchResult select_seed(mpc::Cluster& cluster, const RangeObjective& objective,
+                         const hash::KWiseFamily& family,
+                         const SelectionOptions& options);
 
 }  // namespace dmpc::derand

@@ -8,7 +8,6 @@
 #include "lowdeg/neighborhoods.hpp"
 #include "obs/trace.hpp"
 #include "support/check.hpp"
-#include "support/math.hpp"
 
 namespace dmpc::lowdeg {
 
@@ -16,8 +15,21 @@ using graph::EdgeId;
 using graph::Graph;
 using graph::NodeId;
 
-std::uint32_t phases_for(const LowDegConfig& config, std::uint64_t space,
-                         std::uint32_t max_degree) {
+namespace {
+
+/// The cluster for an input graph of the §5 pipeline: S is floored at
+/// 4 * Delta^3 (see lowdeg_mis).
+mpc::ClusterConfig provision_for(const Graph& g, const LowDegConfig& config) {
+  const auto d = static_cast<std::uint64_t>(
+      std::max<std::uint32_t>(g.max_degree(), 1));
+  return mpc::provision(config.cluster, g.num_nodes(), g.num_edges(),
+                        config.eps, config.space_headroom,
+                        std::max<std::uint64_t>(64, 4 * d * d * d));
+}
+
+}  // namespace
+
+std::uint32_t phases_for(std::uint64_t space, std::uint32_t max_degree) {
   // Largest l with 4 * Delta^{2l+1} <= space.
   const double log_d =
       std::log(static_cast<double>(std::max<std::uint32_t>(max_degree, 2)));
@@ -25,41 +37,15 @@ std::uint32_t phases_for(const LowDegConfig& config, std::uint64_t space,
       std::log(std::max<double>(static_cast<double>(space) / 4.0, 4.0));
   const auto l =
       static_cast<std::uint32_t>(std::floor((budget - log_d) / (2.0 * log_d)));
-  return std::clamp<std::uint32_t>(l, 1, config.max_phases);
-}
-
-mpc::ClusterConfig cluster_config_for(const LowDegConfig& config,
-                                      std::uint64_t n, std::uint64_t m,
-                                      std::uint32_t max_degree) {
-  mpc::ClusterConfig cc;
-  const auto d = static_cast<std::uint64_t>(std::max<std::uint32_t>(max_degree, 1));
-  cc.machine_space = std::max<std::uint64_t>(
-      std::max<std::uint64_t>(64, 4 * d * d * d),
-      static_cast<std::uint64_t>(
-          config.space_headroom *
-          std::pow(static_cast<double>(std::max<std::uint64_t>(n, 2)),
-                   config.eps)));
-  const auto total = static_cast<std::uint64_t>(
-      config.total_space_factor * static_cast<double>(m + n + 2));
-  cc.num_machines = ceil_div(total, cc.machine_space) + 1;
-  return cc;
+  return std::clamp<std::uint32_t>(l, 1, kMaxPhases);
 }
 
 LowDegMisResult lowdeg_mis(const Graph& g, const LowDegConfig& config) {
-  mpc::Cluster cluster(mpc::apply_overrides(
-      cluster_config_for(config, g.num_nodes(), g.num_edges(), g.max_degree()),
-      config.cluster));
-  if (config.trace != nullptr) cluster.set_trace(config.trace);
-  if (config.profiler != nullptr) cluster.set_profiler(config.profiler);
-  if (config.events != nullptr) cluster.set_events(config.events);
-  cluster.set_executor(exec::Executor::with_threads(config.threads));
-  if (!config.faults.empty()) cluster.set_faults(config.faults, config.recovery);
-  if (config.storage != nullptr) cluster.set_storage(config.storage);
-  return lowdeg_mis(cluster, g, config);
+  mpc::Cluster cluster(provision_for(g, config));
+  return lowdeg_mis(cluster, g);
 }
 
-LowDegMisResult lowdeg_mis(mpc::Cluster& cluster, const Graph& g,
-                           const LowDegConfig& config) {
+LowDegMisResult lowdeg_mis(mpc::Cluster& cluster, const Graph& g) {
   LowDegMisResult result;
   result.machine_space = cluster.space();
   result.in_set.assign(g.num_nodes(), false);
@@ -86,9 +72,9 @@ LowDegMisResult lowdeg_mis(mpc::Cluster& cluster, const Graph& g,
   result.colors = coloring.num_colors;
   hash::SmallFamily family(std::max<std::uint32_t>(coloring.num_colors, 2));
 
-  const std::uint32_t l = phases_for(config, cluster.space(), g.max_degree());
+  const std::uint32_t l = phases_for(cluster.space(), g.max_degree());
   result.phases_per_stage = l;
-  hash::FunctionSequence sequence(family, l, config.per_phase_cap);
+  hash::FunctionSequence sequence(family, l, kPerPhaseCap);
 
   {
     cluster.mark_phase("lowdeg/phase/gather", phase_words);
@@ -98,12 +84,12 @@ LowDegMisResult lowdeg_mis(mpc::Cluster& cluster, const Graph& g,
 
   // --- Stages. ---
   while (graph::alive_edge_count(g, alive, cluster.executor()) > 0) {
-    DMPC_CHECK_MSG(result.stages < config.max_stages, "stage cap exceeded");
+    DMPC_CHECK_MSG(result.stages < kMaxStages, "stage cap exceeded");
     cluster.mark_phase("lowdeg/stage", phase_words);
     obs::Span stage_span(cluster.trace(), "lowdeg/stage");
     stage_span.arg("stage", static_cast<std::uint64_t>(result.stages + 1));
     const auto outcome = run_stage(cluster, g, alive, coloring.color, sequence,
-                                   config.sequence_budget);
+                                   kSequenceBudget);
     for (NodeId v : outcome.independent) result.in_set[v] = true;
     ++result.stages;
     // Stage progress series: one structured event per stage (the
@@ -149,18 +135,9 @@ LowDegMatchingResult lowdeg_matching(const Graph& g,
   if (g.num_edges() == 0) return result;
   const Graph lg = graph::line_graph(g);
   // Line-graph construction is local to 1-hop neighborhoods: one exchange.
-  mpc::Cluster cluster(mpc::apply_overrides(
-      cluster_config_for(config, lg.num_nodes(), lg.num_edges(),
-                         lg.max_degree()),
-      config.cluster));
-  if (config.trace != nullptr) cluster.set_trace(config.trace);
-  if (config.profiler != nullptr) cluster.set_profiler(config.profiler);
-  if (config.events != nullptr) cluster.set_events(config.events);
-  cluster.set_executor(exec::Executor::with_threads(config.threads));
-  if (!config.faults.empty()) cluster.set_faults(config.faults, config.recovery);
-  if (config.storage != nullptr) cluster.set_storage(config.storage);
+  mpc::Cluster cluster(provision_for(lg, config));
   cluster.charge("lowdeg/line_graph", 1, 0);
-  result.line_mis = lowdeg_mis(cluster, lg, config);
+  result.line_mis = lowdeg_mis(cluster, lg);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     if (result.line_mis.in_set[e]) result.matching.push_back(e);
   }

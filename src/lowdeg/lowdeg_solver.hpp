@@ -17,46 +17,23 @@
 #include "mpc/cluster.hpp"
 #include "mpc/metrics.hpp"
 
-namespace dmpc::obs {
-class EventBus;
-class RoundProfiler;
-class TraceSession;
-}
-
 namespace dmpc::lowdeg {
+
+/// Lemma 22 simulation knobs: candidate Luby-phase sequences evaluated per
+/// stage, seeds enumerable per phase, the upper clamp on phases per stage
+/// l (simulation cost), and the stage cap (a guarantee violation beyond).
+inline constexpr std::uint64_t kSequenceBudget = 64;
+inline constexpr std::uint64_t kPerPhaseCap = 1024;
+inline constexpr std::uint32_t kMaxPhases = 8;
+inline constexpr std::uint64_t kMaxStages = 100000;
 
 struct LowDegConfig {
   double eps = 0.5;              ///< S = space_headroom * n^eps.
   double space_headroom = 8.0;
-  double total_space_factor = 8.0;
-  std::uint64_t sequence_budget = 64;   ///< Candidate sequences per stage.
-  std::uint64_t per_phase_cap = 1024;   ///< Per-phase seeds enumerable.
-  std::uint32_t max_phases = 8;         ///< Upper clamp on l (sim cost).
-  std::uint64_t max_stages = 100000;
-  /// Host threads for per-machine local computation (0 = hardware
-  /// concurrency, 1 = serial). Results are identical for every value; only
-  /// the cluster-creating overloads apply this.
-  std::uint32_t threads = 1;
-  /// Provisioning overrides on the auto-derived cluster geometry (only the
-  /// cluster-creating overloads apply them).
-  mpc::ClusterOverrides cluster;
-  /// Deterministic fault schedule + recovery policy (only the
-  /// cluster-creating overloads install them; empty plan = fault-free).
-  mpc::FaultPlan faults;
-  mpc::RecoveryOptions recovery;
-  /// Optional trace session (non-owning); null = tracing off.
-  obs::TraceSession* trace = nullptr;
-  /// Optional round profiler (non-owning; null = off); attached to the
-  /// cluster alongside `trace`.
-  obs::RoundProfiler* profiler = nullptr;
-
-  /// Optional progress-event bus (non-owning); forwarded to every cluster
-  /// this pipeline creates.
-  obs::EventBus* events = nullptr;
-  /// Storage backend the input graph resides on (non-owning; null for plain
-  /// in-memory graphs). Only the cluster-creating overloads attach it; the
-  /// seam carries no model semantics (see mpc/storage.hpp).
-  const mpc::Storage* storage = nullptr;
+  /// Threads, faults, observers and geometry overrides of the cluster the
+  /// cluster-creating overloads build (zero geometry fields are provisioned
+  /// from eps, space_headroom and the 4 Delta^3 floor).
+  mpc::ClusterConfig cluster;
 };
 
 struct LowDegMisResult {
@@ -72,29 +49,25 @@ struct LowDegMisResult {
 
 /// Phases per stage: the largest l with 4 * Delta^{2l+1} <= S (the radius-2l
 /// ball with its incident edges must fit on one machine), at least 1,
-/// clamped to max_phases.
-std::uint32_t phases_for(const LowDegConfig& config, std::uint64_t space,
-                         std::uint32_t max_degree);
+/// clamped to kMaxPhases.
+std::uint32_t phases_for(std::uint64_t space, std::uint32_t max_degree);
 
+/// Builds the cluster from config.cluster, provisioned for g with S >=
+/// 4 * Delta^3: the pipeline needs one radius-2 ball (Delta^2 nodes x Delta
+/// incident edges) per machine even at l = 1; for Delta <= n^{eps/3} (the
+/// regime §5 targets) that floor is within O(n^eps).
 LowDegMisResult lowdeg_mis(const graph::Graph& g, const LowDegConfig& config);
-LowDegMisResult lowdeg_mis(mpc::Cluster& cluster, const graph::Graph& g,
-                           const LowDegConfig& config);
+/// As above, against a caller-provided cluster (metrics accumulate there).
+LowDegMisResult lowdeg_mis(mpc::Cluster& cluster, const graph::Graph& g);
 
 struct LowDegMatchingResult {
   std::vector<graph::EdgeId> matching;
   LowDegMisResult line_mis;  ///< The underlying line-graph MIS run.
 };
 
-/// Maximal matching = MIS on the line graph (L(G) ids are EdgeIds of g).
+/// Maximal matching = MIS on the line graph (L(G) ids are EdgeIds of g),
+/// on a cluster provisioned for the line graph.
 LowDegMatchingResult lowdeg_matching(const graph::Graph& g,
                                      const LowDegConfig& config);
-
-/// S = max(headroom * n^eps, 4 * Delta^3): the pipeline needs one radius-2
-/// ball (Delta^2 nodes x Delta incident edges) per machine even at l = 1;
-/// for Delta <= n^{eps/3} — the regime §5 targets — the second term is
-/// within O(n^eps).
-mpc::ClusterConfig cluster_config_for(const LowDegConfig& config,
-                                      std::uint64_t n, std::uint64_t m,
-                                      std::uint32_t max_degree);
 
 }  // namespace dmpc::lowdeg

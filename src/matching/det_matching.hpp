@@ -20,80 +20,36 @@
 #include <cstdint>
 #include <vector>
 
+#include "derand/seed_search.hpp"
 #include "graph/graph.hpp"
 #include "mpc/cluster.hpp"
 #include "mpc/metrics.hpp"
 #include "sparsify/edge_sparsifier.hpp"
 #include "sparsify/params.hpp"
 
-namespace dmpc::obs {
-class EventBus;
-class RoundProfiler;
-class TraceSession;
-}
-
 namespace dmpc::matching {
 
-/// How the per-iteration selection seed is committed.
-enum class SelectionMode {
-  /// Batched threshold search over the family (production path; see
-  /// derand/seed_search.hpp for the guarantee argument).
-  kThresholdSearch,
-  /// The textbook §2.4 method of conditional expectations with the
-  /// exact-enumeration oracle. Exponential in the seed length, so only
-  /// valid for small instances (the family size is checked); used to
-  /// demonstrate the paper's §2.4 machinery end-to-end in the real
-  /// pipeline.
-  kConditionalExpectation,
-};
+/// Lemma 13: E[q] >= (1/109) sum_{v in B} d(v); the selection commits a
+/// seed meeting q >= kThresholdFactor * sum_{v in B} d(v).
+inline constexpr double kThresholdFactor = 1.0 / 109.0;
 
 struct DetMatchingConfig {
-  /// Space exponent: S = space_headroom * n^eps words per machine.
+  /// Space exponent: S = space_headroom * n^eps words per machine, and
+  /// delta = eps/8 (inv_delta = 8/eps).
   double eps = 0.5;
-  /// 1/delta; 0 derives the paper's delta = eps/8 (inv_delta = 8/eps).
-  std::uint32_t inv_delta = 0;
   /// Constant-factor headroom on S (the paper's O(n^{8 delta}) constants).
   double space_headroom = 8.0;
-  /// Total-space constant: M = total_space_factor * (m + n) / S machines.
-  double total_space_factor = 8.0;
   sparsify::SparsifyConfig sparsify;
-  /// Selection threshold: q >= threshold_factor * sum_{v in B} d(v);
-  /// the paper's Lemma 13 constant is 1/109.
-  double threshold_factor = 1.0 / 109.0;
   /// Candidates per selection batch; the best candidate meeting the
   /// threshold is committed (better practical progress at the same cost).
   std::uint64_t selection_batch = 16;
-  /// Seeds per threshold level before the threshold is halved (finite-n
-  /// escape hatch; q >= 1 always holds so this terminates — see DESIGN.md).
-  std::uint64_t trials_per_threshold = 256;
   std::uint64_t max_iterations = 100000;
-  SelectionMode selection_mode = SelectionMode::kThresholdSearch;
-  /// Host threads for per-machine local computation (0 = hardware
-  /// concurrency, 1 = serial). Results are identical for every value; only
-  /// the cluster-creating overload applies this (the cluster-taking overload
-  /// uses the caller's executor).
-  std::uint32_t threads = 1;
-  /// Provisioning overrides on the auto-derived cluster geometry (only the
-  /// cluster-creating overload applies them).
-  mpc::ClusterOverrides cluster;
-  /// Deterministic fault schedule + recovery policy (only the
-  /// cluster-creating overload installs them; empty plan = fault-free).
-  mpc::FaultPlan faults;
-  mpc::RecoveryOptions recovery;
-  /// Optional trace session (non-owning); spans and progress events are
-  /// emitted when set. Null = tracing off (zero cost).
-  obs::TraceSession* trace = nullptr;
-  /// Optional round profiler (non-owning; null = off); attached to the
-  /// cluster alongside `trace`.
-  obs::RoundProfiler* profiler = nullptr;
-
-  /// Optional progress-event bus (non-owning); forwarded to every cluster
-  /// this pipeline creates.
-  obs::EventBus* events = nullptr;
-  /// Storage backend the input graph resides on (non-owning; null for plain
-  /// in-memory graphs). Only the cluster-creating overload attaches it; the
-  /// seam carries no model semantics (see mpc/storage.hpp).
-  const mpc::Storage* storage = nullptr;
+  derand::SelectionMode selection_mode =
+      derand::SelectionMode::kThresholdSearch;
+  /// Threads, faults, observers and geometry overrides of the cluster the
+  /// cluster-creating overload builds (zero geometry fields are provisioned
+  /// from eps and space_headroom).
+  mpc::ClusterConfig cluster;
 };
 
 struct IterationReport {
@@ -125,19 +81,16 @@ struct DetMatchingResult {
   std::uint64_t machine_space = 0;  ///< S of the cluster the run used.
 };
 
-/// Creates the cluster per the config and runs the full loop.
+/// Builds the cluster from config.cluster (provisioned for the graph) and
+/// runs the full loop.
 DetMatchingResult det_maximal_matching(const graph::Graph& g,
                                        const DetMatchingConfig& config);
 
 /// As above, against a caller-provided cluster (metrics accumulate there;
-/// config.trace/profiler/events are ignored — attach them to the cluster).
+/// config.cluster is ignored).
 DetMatchingResult det_maximal_matching(mpc::Cluster& cluster,
                                        const graph::Graph& g,
                                        const DetMatchingConfig& config);
-
-/// The cluster the config would build for graph size (n, m).
-mpc::ClusterConfig cluster_config_for(const DetMatchingConfig& config,
-                                      std::uint64_t n, std::uint64_t m);
 
 /// Effective sparsification parameters for the config on an n-node graph.
 sparsify::Params params_for(const DetMatchingConfig& config, std::uint64_t n);

@@ -4,17 +4,13 @@
 #include <cmath>
 #include <optional>
 
-#include "derand/cond_expect.hpp"
-#include "derand/seed_search.hpp"
 #include "graph/validate.hpp"
 #include "hash/kwise.hpp"
 #include "mpc/distribution.hpp"
-#include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "sparsify/good_nodes.hpp"
 #include "sparsify/node_sparsifier.hpp"
 #include "support/check.hpp"
-#include "support/math.hpp"
 
 namespace dmpc::mis {
 
@@ -124,99 +120,20 @@ class MisSelectionObjective final : public derand::RangeObjective {
   std::vector<std::size_t> node_pos_;  ///< NodeId -> position in q_nodes
 };
 
-derand::SearchResult select_with_threshold(
-    mpc::Cluster& cluster, const MisSelectionObjective& objective,
-    std::uint64_t seed_count, double threshold, std::uint64_t salt,
-    const DetMisConfig& config) {
-  derand::SearchResult best;
-  obs::HostScope host_scope("derand/selection", cluster.trace());
-  obs::Span span(cluster.trace(), "mis/selection");
-  bool have = false;
-  std::uint64_t evaluated = 0;
-  double t = threshold;
-  derand::BatchStats batch_stats;
-  // Stride-scrambled deterministic enumeration; see the matching pipeline.
-  auto seed_at = [&](std::uint64_t k) {
-    const __uint128_t pos =
-        static_cast<__uint128_t>(k) * 0xBF58476D1CE4E5B9ULL +
-        salt * 0x9E3779B97F4A7C15ULL;
-    return static_cast<std::uint64_t>(pos % seed_count);
-  };
-  while (true) {
-    const std::uint64_t budget =
-        std::min<std::uint64_t>(config.selection_batch, seed_count - evaluated);
-    DMPC_CHECK_MSG(budget > 0,
-                   "MIS selection seed space exhausted — guarantee violated");
-    const std::uint64_t depth = cluster.tree_depth(
-        std::max<std::uint64_t>(objective.term_count(), 2));
-    cluster.charge("mis/selection", 2 * depth, budget * cluster.machines());
-    // Host-parallel batch evaluation through the range oracle (the
-    // objective is pure), then a serial lowest-trial-first scan — the
-    // committed seed is identical for every thread count and dispatch path.
-    std::vector<std::uint64_t> seeds(budget);
-    for (std::uint64_t i = 0; i < budget; ++i) {
-      seeds[i] = seed_at(evaluated + i);
-    }
-    std::vector<double> values(budget, 0.0);
-    batch_stats += derand::batch_evaluate(cluster.executor(), objective,
-                                          seeds.data(), budget, values.data());
-    for (std::uint64_t k = evaluated; k < evaluated + budget; ++k) {
-      const double value = values[k - evaluated];
-      if (!have || value > best.value) {
-        have = true;
-        best.seed = seed_at(k);
-        best.value = value;
-      }
-    }
-    evaluated += budget;
-    best.trials = evaluated;
-    if (have && best.value >= t && best.value > 0) {
-      span.arg("candidate_seeds", best.trials);
-      span.arg("committed_seed", best.seed);
-      derand::record_batch_stats(batch_stats);
-      return best;
-    }
-    if (evaluated % config.trials_per_threshold == 0) t /= 2.0;
-  }
-}
-
 }  // namespace
 
 sparsify::Params params_for(const DetMisConfig& config, std::uint64_t n) {
   sparsify::Params params;
   params.n = std::max<std::uint64_t>(n, 2);
-  params.inv_delta =
-      config.inv_delta != 0
-          ? config.inv_delta
-          : std::max<std::uint32_t>(
-                1, static_cast<std::uint32_t>(std::lround(8.0 / config.eps)));
+  params.inv_delta = std::max<std::uint32_t>(
+      1, static_cast<std::uint32_t>(std::lround(8.0 / config.eps)));
   return params;
 }
 
-mpc::ClusterConfig cluster_config_for(const DetMisConfig& config,
-                                      std::uint64_t n, std::uint64_t m) {
-  mpc::ClusterConfig cc;
-  cc.machine_space = std::max<std::uint64_t>(
-      64, static_cast<std::uint64_t>(
-              config.space_headroom *
-              std::pow(static_cast<double>(std::max<std::uint64_t>(n, 2)),
-                       config.eps)));
-  const auto total = static_cast<std::uint64_t>(
-      config.total_space_factor * static_cast<double>(m + n + 2));
-  cc.num_machines = ceil_div(total, cc.machine_space) + 1;
-  return cc;
-}
-
 DetMisResult det_mis(const Graph& g, const DetMisConfig& config) {
-  mpc::Cluster cluster(mpc::apply_overrides(
-      cluster_config_for(config, g.num_nodes(), g.num_edges()),
-      config.cluster));
-  if (config.trace != nullptr) cluster.set_trace(config.trace);
-  if (config.profiler != nullptr) cluster.set_profiler(config.profiler);
-  if (config.events != nullptr) cluster.set_events(config.events);
-  cluster.set_executor(exec::Executor::with_threads(config.threads));
-  if (!config.faults.empty()) cluster.set_faults(config.faults, config.recovery);
-  if (config.storage != nullptr) cluster.set_storage(config.storage);
+  mpc::Cluster cluster(mpc::provision(config.cluster, g.num_nodes(),
+                                      g.num_edges(), config.eps,
+                                      config.space_headroom));
   return det_mis(cluster, g, config);
 }
 
@@ -326,30 +243,15 @@ DetMisResult det_mis(mpc::Cluster& cluster, const Graph& g,
     hash::KWiseFamily family(domain, domain, /*k=*/2);
     MisSelectionObjective objective(g, family, q_nodes, q_adj, nv, b_nodes,
                                     alive_degree);
-    const double threshold = config.threshold_factor * params.delta() *
-                             static_cast<double>(good.b_degree_mass);
-    derand::SearchResult committed;
-    if (config.selection_mode ==
-        matching::SelectionMode::kConditionalExpectation) {
-      // Textbook §2.4 path — see matching/det_matching.cpp.
-      DMPC_CHECK_MSG(family.seed_count() <= (1ULL << 22),
-                     "conditional-expectation selection needs a small "
-                     "instance (family of <= 2^22 seeds)");
-      const hash::SeedSpace space({family.p(), family.p()});
-      derand::ExhaustiveConditional conditional(objective, space);
-      derand::FixOptions fix_options;
-      fix_options.guarantee = 0.0;
-      fix_options.label = "mis/selection_ce";
-      const auto fixed =
-          derand::fix_seed(cluster, conditional, space, fix_options);
-      committed.seed = fixed.seed;
-      committed.value = fixed.value;
-      committed.trials = space.size();
-    } else {
-      committed = select_with_threshold(cluster, objective,
-                                        family.seed_count(), threshold,
-                                        result.iterations, config);
-    }
+    derand::SelectionOptions selection;
+    selection.label = "mis/selection";
+    selection.mode = config.selection_mode;
+    selection.batch = config.selection_batch;
+    selection.threshold = kThresholdFactor * params.delta() *
+                          static_cast<double>(good.b_degree_mass);
+    selection.salt = result.iterations;
+    const derand::SearchResult committed =
+        derand::select_seed(cluster, objective, family, selection);
     report.selection_trials = committed.trials;
     if (derand_span->active()) {
       derand_span->arg("candidate_seeds", committed.trials);

@@ -18,57 +18,33 @@
 #include <cstdint>
 #include <vector>
 
+#include "derand/seed_search.hpp"
 #include "graph/graph.hpp"
-#include "matching/det_matching.hpp"  // DetMatchingConfig shape is shared
 #include "mpc/cluster.hpp"
 #include "mpc/metrics.hpp"
+#include "sparsify/edge_sparsifier.hpp"  // SparsifyConfig
 #include "sparsify/params.hpp"
-
-namespace dmpc::obs {
-class EventBus;
-class RoundProfiler;
-class TraceSession;
-}
 
 namespace dmpc::mis {
 
-struct DetMisConfig {
-  double eps = 0.5;
-  std::uint32_t inv_delta = 0;  ///< 0 = paper default 8/eps.
-  double space_headroom = 8.0;
-  double total_space_factor = 8.0;
-  sparsify::SparsifyConfig sparsify;
-  /// Lemma 21 constant: q >= threshold_factor * delta * sum_{v in B} d(v).
-  double threshold_factor = 0.01;
-  std::uint64_t selection_batch = 16;
-  std::uint64_t trials_per_threshold = 256;
-  std::uint64_t max_iterations = 100000;
-  matching::SelectionMode selection_mode =
-      matching::SelectionMode::kThresholdSearch;
-  /// Host threads for per-machine local computation (0 = hardware
-  /// concurrency, 1 = serial). Results are identical for every value; only
-  /// the cluster-creating overload applies this.
-  std::uint32_t threads = 1;
-  /// Provisioning overrides on the auto-derived cluster geometry (only the
-  /// cluster-creating overload applies them).
-  mpc::ClusterOverrides cluster;
-  /// Deterministic fault schedule + recovery policy (only the
-  /// cluster-creating overload installs them; empty plan = fault-free).
-  mpc::FaultPlan faults;
-  mpc::RecoveryOptions recovery;
-  /// Optional trace session (non-owning); null = tracing off.
-  obs::TraceSession* trace = nullptr;
-  /// Optional round profiler (non-owning; null = off); attached to the
-  /// cluster alongside `trace`.
-  obs::RoundProfiler* profiler = nullptr;
+/// Lemma 21: E[q] >= kThresholdFactor * delta * sum_{v in B} d(v); the
+/// selection commits a seed meeting that threshold.
+inline constexpr double kThresholdFactor = 0.01;
 
-  /// Optional progress-event bus (non-owning); forwarded to every cluster
-  /// this pipeline creates.
-  obs::EventBus* events = nullptr;
-  /// Storage backend the input graph resides on (non-owning; null for plain
-  /// in-memory graphs). Only the cluster-creating overload attaches it; the
-  /// seam carries no model semantics (see mpc/storage.hpp).
-  const mpc::Storage* storage = nullptr;
+struct DetMisConfig {
+  /// Space exponent: S = space_headroom * n^eps words per machine, and
+  /// delta = eps/8 (inv_delta = 8/eps).
+  double eps = 0.5;
+  double space_headroom = 8.0;
+  sparsify::SparsifyConfig sparsify;
+  std::uint64_t selection_batch = 16;
+  std::uint64_t max_iterations = 100000;
+  derand::SelectionMode selection_mode =
+      derand::SelectionMode::kThresholdSearch;
+  /// Threads, faults, observers and geometry overrides of the cluster the
+  /// cluster-creating overload builds (zero geometry fields are provisioned
+  /// from eps and space_headroom).
+  mpc::ClusterConfig cluster;
 };
 
 struct MisIterationReport {
@@ -98,12 +74,14 @@ struct DetMisResult {
   std::uint64_t machine_space = 0;  ///< S of the cluster the run used.
 };
 
+/// Builds the cluster from config.cluster (provisioned for the graph) and
+/// runs the full loop.
 DetMisResult det_mis(const graph::Graph& g, const DetMisConfig& config);
+/// As above, against a caller-provided cluster (metrics accumulate there;
+/// config.cluster is ignored).
 DetMisResult det_mis(mpc::Cluster& cluster, const graph::Graph& g,
                      const DetMisConfig& config);
 
-mpc::ClusterConfig cluster_config_for(const DetMisConfig& config,
-                                      std::uint64_t n, std::uint64_t m);
 sparsify::Params params_for(const DetMisConfig& config, std::uint64_t n);
 
 }  // namespace dmpc::mis

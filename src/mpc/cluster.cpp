@@ -10,93 +10,84 @@
 
 namespace dmpc::mpc {
 
-ClusterConfig ClusterConfig::for_input(std::uint64_t n, double eps,
-                                       std::uint64_t total_words,
-                                       std::uint64_t min_space) {
-  DMPC_CHECK(eps > 0.0 && eps <= 1.0);
-  ClusterConfig config;
-  config.machine_space = std::max(min_space, ipow_real(std::max<std::uint64_t>(n, 2), eps));
-  config.num_machines =
-      ceil_div(std::max<std::uint64_t>(total_words, 1), config.machine_space) + 1;
-  return config;
+ClusterConfig provision(ClusterConfig requested, std::uint64_t n,
+                        std::uint64_t m, double eps, double space_headroom,
+                        std::uint64_t min_space) {
+  DMPC_CHECK_MSG(eps > 0.0 && eps <= 1.0,
+                 "eps must be in (0, 1], got " << eps);
+  const double n_eps =
+      std::pow(static_cast<double>(std::max<std::uint64_t>(n, 2)), eps);
+  const std::uint64_t space = std::max<std::uint64_t>(
+      min_space, static_cast<std::uint64_t>(space_headroom * n_eps));
+  const auto total = static_cast<std::uint64_t>(
+      kTotalSpaceFactor * static_cast<double>(m + n + 2));
+  if (requested.num_machines == 0) {
+    requested.num_machines = ceil_div(total, space) + 1;
+  }
+  if (requested.machine_space == 0) requested.machine_space = space;
+  return requested;
 }
 
-ClusterConfig apply_overrides(ClusterConfig base,
-                              const ClusterOverrides& overrides) {
-  if (overrides.machine_space != 0) {
-    base.machine_space = overrides.machine_space;
-  }
-  if (overrides.num_machines != 0) {
-    base.num_machines = overrides.num_machines;
-  }
-  base.enforce_space = overrides.enforce_space;
-  return base;
-}
-
-Cluster::Cluster(ClusterConfig config) : config_(config) {
+Cluster::Cluster(ClusterConfig config)
+    : config_(std::move(config)),
+      executor_(exec::Executor::with_threads(config_.threads)) {
   DMPC_CHECK_MSG(config_.machine_space >= 2, "machine space must be >= 2");
   if (config_.num_machines == 0) config_.num_machines = 1;
+  const std::string problem = config_.faults.check();
+  DMPC_CHECK_MSG(problem.empty(), "inadmissible fault plan: " << problem);
+  DMPC_CHECK_MSG(config_.recovery.backoff_rounds >= 1,
+                 "backoff_rounds must be >= 1");
+  DMPC_CHECK_MSG(config_.recovery.max_retries <= RecoveryOptions::kMaxRetries,
+                 "max_retries " << config_.recovery.max_retries
+                                << " exceeds cap "
+                                << RecoveryOptions::kMaxRetries);
+  if (config_.trace != nullptr) config_.trace->attach_metrics(&metrics_);
 }
 
-Cluster::~Cluster() { close_open_phase(); }
-
-Cluster::Cluster(Cluster&& other) noexcept
-    : config_(other.config_),
-      metrics_(std::move(other.metrics_)),
-      trace_(other.trace_),
-      profiler_(other.profiler_),
-      events_(other.events_),
-      open_phase_(std::move(other.open_phase_)),
-      phase_open_(other.phase_open_),
-      storage_(other.storage_),
-      executor_(std::move(other.executor_)),
-      locals_(std::move(other.locals_)),
-      fault_plan_(std::move(other.fault_plan_)),
-      recovery_(other.recovery_),
-      recovery_stats_(other.recovery_stats_),
-      phase_round_(other.phase_round_),
-      fault_covered_round_(other.fault_covered_round_) {
-  other.phase_open_ = false;
-  other.events_ = nullptr;
+Cluster::~Cluster() {
+  close_open_phase();
+  if (config_.trace != nullptr && config_.trace->metrics() == &metrics_) {
+    config_.trace->attach_metrics(nullptr);
+  }
 }
 
 void Cluster::close_open_phase() {
   if (!phase_open_) return;
   phase_open_ = false;
-  if (!obs::events_enabled(events_)) return;
+  if (!obs::events_enabled(config_.events)) return;
   obs::ProgressEvent e;
   e.type = obs::EventType::kPhaseFinished;
   e.label = open_phase_;
   e.round = metrics_.rounds();
   e.comm_words = metrics_.total_communication();
-  events_->emit(std::move(e));
+  config_.events->emit(std::move(e));
 }
 
 void Cluster::commit(const std::string& label, std::uint64_t rounds) {
-  if (profiler_ != nullptr) {
-    profiler_->commit(label, metrics_.rounds(), rounds,
-                      metrics_.total_communication());
+  if (config_.profiler != nullptr) {
+    config_.profiler->commit(label, metrics_.rounds(), rounds,
+                             metrics_.total_communication());
   }
-  if (!obs::events_enabled(events_)) return;
+  if (!obs::events_enabled(config_.events)) return;
   obs::ProgressEvent e;
   e.type = obs::EventType::kRoundCompleted;
   e.label = label;
   e.round = metrics_.rounds();
   e.rounds = rounds;
   e.comm_words = metrics_.total_communication();
-  if (profiler_ != nullptr) {
-    if (const obs::ProfileRecord* rec = profiler_->last_record()) {
+  if (config_.profiler != nullptr) {
+    if (const obs::ProfileRecord* rec = config_.profiler->last_record()) {
       e.load_max = rec->load_max;
       e.gini_ppm = rec->gini_ppm;
     }
   }
-  events_->emit(std::move(e));
+  config_.events->emit(std::move(e));
 }
 
 void Cluster::emit_recovery_event(obs::EventType type, const std::string& label,
                                   std::uint64_t round, std::int64_t value,
                                   const std::string& detail) {
-  if (!obs::events_enabled(events_)) return;
+  if (!obs::events_enabled(config_.events)) return;
   obs::ProgressEvent e;
   e.type = type;
   e.label = label;
@@ -104,21 +95,7 @@ void Cluster::emit_recovery_event(obs::EventType type, const std::string& label,
   e.comm_words = metrics_.total_communication();
   e.value = value;
   e.detail = detail;
-  events_->emit(std::move(e));
-}
-
-void Cluster::set_faults(FaultPlan plan, RecoveryOptions recovery) {
-  const std::string problem = plan.check();
-  DMPC_CHECK_MSG(problem.empty(), "inadmissible fault plan: " << problem);
-  DMPC_CHECK_MSG(recovery.backoff_rounds >= 1, "backoff_rounds must be >= 1");
-  DMPC_CHECK_MSG(recovery.max_retries <= RecoveryOptions::kMaxRetries,
-                 "max_retries " << recovery.max_retries << " exceeds cap "
-                                << RecoveryOptions::kMaxRetries);
-  fault_plan_ = std::move(plan);
-  recovery_ = recovery;
-  recovery_stats_.reset();
-  phase_round_ = metrics_.rounds();
-  fault_covered_round_ = metrics_.rounds();
+  config_.events->emit(std::move(e));
 }
 
 std::uint64_t Cluster::tree_depth(std::uint64_t items) const {
@@ -126,11 +103,6 @@ std::uint64_t Cluster::tree_depth(std::uint64_t items) const {
   const double depth = std::log(static_cast<double>(items)) /
                        std::log(static_cast<double>(config_.machine_space));
   return std::max<std::uint64_t>(1, static_cast<std::uint64_t>(std::ceil(depth)));
-}
-
-void Cluster::set_trace(obs::TraceSession* trace) {
-  trace_ = trace;
-  if (trace_ != nullptr) trace_->attach_metrics(&metrics_);
 }
 
 namespace {
@@ -145,7 +117,9 @@ std::string machine_tag(std::uint64_t machine) {
 void Cluster::check_load(std::uint64_t words, const std::string& what,
                          const std::string& label, std::uint64_t machine) {
   metrics_.observe_load(words, label);
-  if (profiler_ != nullptr) profiler_->observe_load(words, machine);
+  if (config_.profiler != nullptr) {
+    config_.profiler->observe_load(words, machine);
+  }
   if (config_.enforce_space) {
     DMPC_CHECK_MSG(words <= config_.machine_space,
                    what << ": machine load exceeds S [machine="
@@ -206,10 +180,10 @@ void Cluster::route_and_deliver(std::vector<std::vector<Message>>& outboxes,
 void Cluster::note_checkpoint(const std::string& label, std::uint64_t words) {
   recovery_stats_.checkpoints += 1;
   recovery_stats_.checkpoint_words += words;
-  if (recovery_.trace_recovery && obs::enabled(trace_)) {
-    trace_->instant("recovery/checkpoint",
-                    {obs::arg("label", label), obs::arg("words", words),
-                     obs::arg("round", metrics_.rounds())});
+  if (config_.recovery.trace_recovery && obs::enabled(config_.trace)) {
+    config_.trace->instant("recovery/checkpoint",
+                           {obs::arg("label", label), obs::arg("words", words),
+                            obs::arg("round", metrics_.rounds())});
   }
   emit_recovery_event(obs::EventType::kCheckpointTaken, label,
                       metrics_.rounds(), static_cast<std::int64_t>(words), "");
@@ -222,15 +196,15 @@ void Cluster::register_retry(const std::string& label, std::uint64_t round,
   // the failing attempt visible in the event stream.
   emit_recovery_event(obs::EventType::kRecoveryAttempt, label, round,
                       static_cast<std::int64_t>(spent), "");
-  if (recovery_.checkpoint == CheckpointMode::kOff) {
+  if (config_.recovery.checkpoint == CheckpointMode::kOff) {
     throw FaultError(label, round, spent,
                      "checkpointing is off (checkpoint=off), no snapshot to "
                      "restore");
   }
-  if (spent > recovery_.max_retries) {
+  if (spent > config_.recovery.max_retries) {
     throw FaultError(label, round, spent,
                      "retry budget exhausted (max_retries=" +
-                         std::to_string(recovery_.max_retries) + ")");
+                         std::to_string(config_.recovery.max_retries) + ")");
   }
   recovery_stats_.retries += 1;
   recovery_stats_.retries_by_label[label] += 1;
@@ -239,16 +213,18 @@ void Cluster::register_retry(const std::string& label, std::uint64_t round,
   // this superstep. Retry k of a c-round superstep consumes
   // backoff_rounds * (c + rollback) * 2^{k-1} rounds of the recovery budget.
   std::uint64_t rollback = 0;
-  if (recovery_.checkpoint == CheckpointMode::kPhase && round > phase_round_) {
+  if (config_.recovery.checkpoint == CheckpointMode::kPhase &&
+      round > phase_round_) {
     rollback = round - phase_round_;
   }
-  const std::uint64_t backoff = recovery_.backoff_rounds
+  const std::uint64_t backoff = config_.recovery.backoff_rounds
                                 << std::min<std::uint32_t>(attempt, 32);
   recovery_stats_.replayed_rounds += (cost + rollback) * backoff;
-  if (recovery_.trace_recovery && obs::enabled(trace_)) {
-    trace_->instant("recovery/retry",
-                    {obs::arg("label", label), obs::arg("round", round),
-                     obs::arg("attempt", static_cast<std::uint64_t>(spent))});
+  if (config_.recovery.trace_recovery && obs::enabled(config_.trace)) {
+    config_.trace->instant(
+        "recovery/retry",
+        {obs::arg("label", label), obs::arg("round", round),
+         obs::arg("attempt", static_cast<std::uint64_t>(spent))});
   }
 }
 
@@ -257,20 +233,20 @@ void Cluster::mark_phase(const std::string& label, std::uint64_t state_words) {
   // are emitted before the empty-plan early return below. The round/comm
   // fields are fault-free by the Metrics contract.
   close_open_phase();
-  if (obs::events_enabled(events_)) {
+  if (obs::events_enabled(config_.events)) {
     obs::ProgressEvent e;
     e.type = obs::EventType::kPhaseStarted;
     e.label = label;
     e.round = metrics_.rounds();
     e.comm_words = metrics_.total_communication();
     e.value = static_cast<std::int64_t>(state_words);
-    events_->emit(std::move(e));
+    config_.events->emit(std::move(e));
   }
   open_phase_ = label;
   phase_open_ = true;
-  if (fault_plan_.empty()) return;
+  if (config_.faults.empty()) return;
   phase_round_ = metrics_.rounds();
-  if (recovery_.checkpoint == CheckpointMode::kPhase) {
+  if (config_.recovery.checkpoint == CheckpointMode::kPhase) {
     note_checkpoint(label, state_words);
   }
 }
@@ -286,12 +262,14 @@ void Cluster::charge(const std::string& label, std::uint64_t rounds,
   const std::uint64_t begin = std::min(fault_covered_round_, round);
   const std::uint64_t end = round + cost;
   fault_covered_round_ = end;
-  if (!fault_plan_.empty() && recovery_.checkpoint == CheckpointMode::kRound) {
+  if (!config_.faults.empty() &&
+      config_.recovery.checkpoint == CheckpointMode::kRound) {
     note_checkpoint(label, state_words);
   }
   for (std::uint32_t attempt = 0;; ++attempt) {
     bool failed = false;
-    for (const FaultEvent* event : fault_plan_.active(begin, end, attempt)) {
+    for (const FaultEvent* event :
+         config_.faults.active(begin, end, attempt)) {
       recovery_stats_.faults_injected += 1;
       switch (event->kind) {
         case FaultKind::kCrash:
@@ -335,9 +313,9 @@ void Cluster::charge(const std::string& label, std::uint64_t rounds,
 
 void Cluster::step(const std::function<void(MachineContext&)>& compute,
                    const std::string& label) {
-  obs::Span span(trace_, label);
+  obs::Span span(config_.trace, label);
   const std::uint64_t m = locals_.size();
-  if (fault_plan_.empty()) {
+  if (config_.faults.empty()) {
     std::vector<std::vector<Message>> outboxes(m);
     // Machines are independent within a round: each compute touches only its
     // own locals_[i] / outboxes[i], so host-parallel execution is safe and
@@ -359,12 +337,12 @@ void Cluster::step(const std::function<void(MachineContext&)>& compute,
   const std::uint64_t end = round + 1;
   fault_covered_round_ = end;
   std::vector<std::vector<Word>> checkpoint;
-  if (recovery_.checkpoint != CheckpointMode::kOff) {
+  if (config_.recovery.checkpoint != CheckpointMode::kOff) {
     // The snapshot itself is needed to restore state whichever granularity
     // is charged; under kPhase its *cost* was accounted at the last
     // mark_phase, so only kRound records it here.
     checkpoint = locals_;
-    if (recovery_.checkpoint == CheckpointMode::kRound) {
+    if (config_.recovery.checkpoint == CheckpointMode::kRound) {
       std::uint64_t words = 0;
       for (const auto& local : checkpoint) words += local.size();
       note_checkpoint(label, words);
@@ -372,7 +350,7 @@ void Cluster::step(const std::function<void(MachineContext&)>& compute,
   }
   std::uint32_t attempt = 0;
   while (true) {
-    const auto active = fault_plan_.active(begin, end, attempt);
+    const auto active = config_.faults.active(begin, end, attempt);
     bool failed = false;
     std::vector<char> crashed(m, 0);
     for (const FaultEvent* event : active) {

@@ -19,8 +19,9 @@
 //     O(log log n) additive term in Theorem 1, so we model it faithfully
 //     rather than hard-coding 1.
 //
-// A Cluster is configured with (n, eps) like the paper: S = ceil(n^eps),
-// M = ceil(total_input / S) * c. Space checks throw CheckFailure.
+// A Cluster is provisioned from (n, m, eps) like the paper (provision()
+// below): S = Theta(n^eps) words per machine, M = O((m + n) / S) machines.
+// Space checks throw CheckFailure.
 #pragma once
 
 #include <cstdint>
@@ -42,38 +43,75 @@ class TraceSession;
 
 namespace dmpc::mpc {
 
-class Storage;
-
 using Word = std::uint64_t;
 
+/// Everything a Cluster is built from: its geometry, its host threads, its
+/// fault schedule and the observers it reports to. The constructor is the
+/// only place any of these is attached.
 struct ClusterConfig {
-  std::uint64_t machine_space = 0;  ///< S in words; must be >= 2.
-  std::uint64_t num_machines = 0;   ///< M; 0 = derive from first use.
+  std::uint64_t machine_space = 0;  ///< S in words; 0 = provision it.
+  std::uint64_t num_machines = 0;   ///< M; 0 = provision it.
   bool enforce_space = true;        ///< Disable only for ablation (E11).
 
-  /// Convenience: S = max(floor(n^eps), floor_min), M = ceil(total/S)+slack.
-  static ClusterConfig for_input(std::uint64_t n, double eps,
-                                 std::uint64_t total_words,
-                                 std::uint64_t min_space = 16);
+  /// Host threads for per-machine local computation (0 = hardware
+  /// concurrency, 1 = serial). The model is unchanged: the simulated
+  /// machines are independent within a round, and every loop dispatched
+  /// through the executor uses the deterministic helpers in
+  /// exec/parallel.hpp, so results are identical for any value.
+  std::uint32_t threads = 1;
+
+  /// Deterministic fault schedule plus the recovery policy that tolerates
+  /// it. An empty plan (the default) disables every fault/recovery code
+  /// path: no checkpoints are taken and the run is bit-for-bit the
+  /// fault-free execution with an all-zero RecoveryStats ledger.
+  FaultPlan faults{};
+  RecoveryOptions recovery{};
+
+  /// Trace session (non-owning; null = off). It is wired to the cluster's
+  /// metrics so spans report round/communication deltas, and unwired again
+  /// when the cluster is destroyed.
+  obs::TraceSession* trace = nullptr;
+  /// Round profiler (non-owning; null = off). check_load() forwards every
+  /// observation and each charge commits a window, so the profiler sees the
+  /// skew timeline the aggregate Metrics erases. All hooks run on the
+  /// orchestrating thread, and faulted attempts never charge Metrics, so
+  /// the profile is byte-identical across thread counts and admissible
+  /// fault plans (same contract as kModel metrics).
+  obs::RoundProfiler* profiler = nullptr;
+  /// Progress-event bus (non-owning; null = off). Every charge emits a
+  /// model-section round_completed event (with per-window load max / Gini
+  /// when a profiler is also attached); phase marks emit
+  /// phase_started/phase_finished pairs; the recovery engine emits
+  /// checkpoint/retry/recovered events into the recovery section. All
+  /// emission happens on the orchestrating thread, after the corresponding
+  /// Metrics charge, so the model event stream inherits the kModel
+  /// determinism contract.
+  obs::EventBus* events = nullptr;
 };
 
-/// User-facing knobs over the auto-derived provisioning. `dmpc::Solver` owns
-/// the derivation (S and M from n, eps, space_headroom); overrides let
-/// benches/tests pin an exact geometry without hand-building a ClusterConfig.
-/// A zero field means "keep the derived value".
+/// Total-space constant of the provisioning rule: M machines hold
+/// kTotalSpaceFactor * (m + n + 2) words, i.e. O(m + n) total space.
+inline constexpr double kTotalSpaceFactor = 8.0;
+
+/// The model's one provisioning decision (Theorems 7 and 14): S =
+/// max(min_space, floor(space_headroom * n^eps)) words per machine and
+/// M = ceil(floor(kTotalSpaceFactor * (m + n + 2)) / S) + 1 machines, so the
+/// total space is O(m + n^{1+eps}). Fills only the geometry fields of
+/// `requested` that are zero; M is sized from the derived S even when S is
+/// given. Every other field passes through. Throws CheckFailure unless
+/// 0 < eps <= 1.
+ClusterConfig provision(ClusterConfig requested, std::uint64_t n,
+                        std::uint64_t m, double eps, double space_headroom,
+                        std::uint64_t min_space = 64);
+
+/// User-facing geometry overrides (SolveOptions::cluster). A zero field
+/// means "provision it"; dmpc::Solver copies these into the ClusterConfig
+/// it hands to provision().
 struct ClusterOverrides {
   std::uint64_t machine_space = 0;  ///< Words per machine; 0 = auto.
   std::uint64_t num_machines = 0;   ///< Machine count; 0 = auto.
   bool enforce_space = true;        ///< Disable only for ablation (E11).
-
-  bool is_default() const {
-    return machine_space == 0 && num_machines == 0 && enforce_space;
-  }
 };
-
-/// Apply non-zero override fields on top of a derived base config.
-ClusterConfig apply_overrides(ClusterConfig base,
-                              const ClusterOverrides& overrides);
 
 /// A message in the low-level interface.
 struct Message {
@@ -102,15 +140,17 @@ class MachineContext {
 
 class Cluster {
  public:
+  /// Validates the geometry and the fault plan, starts the executor and
+  /// wires the trace session to this cluster's metrics.
   explicit Cluster(ClusterConfig config);
-  /// Closes a still-open phase (emits its phase_finished) on teardown.
+  /// Closes a still-open phase (emits its phase_finished) and unwires the
+  /// trace session if it still reads this cluster's metrics.
   ~Cluster();
+  /// Not copyable, hence not movable: the trace session holds the address
+  /// of this cluster's metrics. By-value returns are prvalues, which C++17
+  /// elides.
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
-  /// Move disarms the source's phase/event state so only the destination's
-  /// destructor closes an open phase (Solver::cluster returns by value).
-  Cluster(Cluster&& other) noexcept;
-  Cluster& operator=(Cluster&&) = delete;
 
   std::uint64_t space() const { return config_.machine_space; }
   std::uint64_t machines() const { return config_.num_machines; }
@@ -120,60 +160,15 @@ class Cluster {
   /// so every charge reaches the attached observers.
   const Metrics& metrics() const { return metrics_; }
 
-  /// Attach a trace session (non-owning; null detaches). The session is
-  /// wired to this cluster's metrics so spans report round/communication
-  /// deltas; every instrumented call site reaches the session through here.
-  void set_trace(obs::TraceSession* trace);
-  obs::TraceSession* trace() const { return trace_; }
-
-  /// Attach a round profiler (non-owning; null detaches). check_load()
-  /// forwards every observation and each charge commits a window, so
-  /// the profiler sees the skew timeline the aggregate Metrics erases. All
-  /// hooks run on the orchestrating thread, and faulted attempts never
-  /// charge Metrics, so the profile is byte-identical across thread counts
-  /// and admissible fault plans (same contract as kModel metrics).
-  void set_profiler(obs::RoundProfiler* profiler) { profiler_ = profiler; }
-  obs::RoundProfiler* profiler() const { return profiler_; }
-
-  /// Attach a progress-event bus (non-owning; null detaches). Every charge
-  /// emits a model-section round_completed event (with per-window
-  /// load max / Gini when a profiler is also attached); phase marks emit
-  /// phase_started/phase_finished pairs; the recovery engine emits
-  /// checkpoint/retry/recovered events into the recovery section. All
-  /// emission happens on the orchestrating thread, after the corresponding
-  /// Metrics charge, so the model event stream inherits the kModel
-  /// determinism contract (byte-identical across thread counts, admissible
-  /// fault plans, and storage backends).
-  void set_events(obs::EventBus* events) { events_ = events; }
-  obs::EventBus* events() const { return events_; }
-
-  /// Host executor for per-machine local computation (default: serial). The
-  /// model is unchanged — the simulated machines are independent within a
-  /// round, so the host may run their local compute concurrently. Every loop
-  /// dispatched through this executor uses the deterministic helpers in
-  /// exec/parallel.hpp, so results are identical for any executor.
-  void set_executor(exec::Executor executor) { executor_ = std::move(executor); }
+  obs::TraceSession* trace() const { return config_.trace; }
+  obs::RoundProfiler* profiler() const { return config_.profiler; }
+  obs::EventBus* events() const { return config_.events; }
   const exec::Executor& executor() const { return executor_; }
-
-  /// Attach the storage backend whose residency this cluster's input graph
-  /// lives in (non-owning; null = unattached). The seam carries no model
-  /// semantics — rounds, loads, and traces are byte-identical with and
-  /// without it — but it is where host-side residency is observable from
-  /// pipeline code (Solver exports its stats to the kHost registry section),
-  /// and where a future multi-process backend will hand machines their
-  /// per-shard slices instead of a shared address space.
-  void set_storage(const Storage* storage) { storage_ = storage; }
-  const Storage* storage() const { return storage_; }
 
   // ---- Fault injection & recovery ----
 
-  /// Install a deterministic fault schedule plus the recovery policy that
-  /// tolerates it. An empty plan (the default) disables every fault/recovery
-  /// code path: no checkpoints are taken and the run is bit-for-bit the
-  /// fault-free execution with an all-zero RecoveryStats ledger.
-  void set_faults(FaultPlan plan, RecoveryOptions recovery = {});
-  const FaultPlan& fault_plan() const { return fault_plan_; }
-  const RecoveryOptions& recovery_options() const { return recovery_; }
+  const FaultPlan& fault_plan() const { return config_.faults; }
+  const RecoveryOptions& recovery_options() const { return config_.recovery; }
 
   RecoveryStats& recovery_stats() { return recovery_stats_; }
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
@@ -277,16 +272,10 @@ class Cluster {
 
   ClusterConfig config_;
   Metrics metrics_;
-  obs::TraceSession* trace_ = nullptr;
-  obs::RoundProfiler* profiler_ = nullptr;
-  obs::EventBus* events_ = nullptr;
   std::string open_phase_;  ///< Label of the phase awaiting phase_finished.
   bool phase_open_ = false;
-  const Storage* storage_ = nullptr;
   exec::Executor executor_;
   std::vector<std::vector<Word>> locals_;
-  FaultPlan fault_plan_;
-  RecoveryOptions recovery_;
   RecoveryStats recovery_stats_;
   std::uint64_t phase_round_ = 0;  ///< Logical round of the last phase mark.
   /// End of the last fault window. Successive windows tile [0, rounds), so

@@ -354,14 +354,14 @@ ShardBuildStats shard_build(const std::string& input_path,
   deg.clear();
   deg.shrink_to_fit();
 
-  // ---- Provision shards along the simulator's machine-space formula. ----
+  // ---- Cut shards at a multiple of the machine space n^eps. ----
   std::uint64_t target_words = options.shard_words;
   if (target_words == 0) {
-    const std::uint64_t total_words = offsets[n] + coffsets[n] + n;
-    const ClusterConfig cc =
-        ClusterConfig::for_input(n, options.eps, total_words);
-    const double s =
-        options.space_headroom * static_cast<double>(cc.machine_space);
+    const std::uint64_t space =
+        provision({}, n, m, options.eps, /*space_headroom=*/1.0,
+                  /*min_space=*/16)
+            .machine_space;
+    const double s = options.space_headroom * static_cast<double>(space);
     // Shards hold whole machine slices; floor the capacity so a tiny S
     // (small n or eps) cannot explode the file/mapping count.
     constexpr std::uint64_t kMinShardWords = 1ull << 20;

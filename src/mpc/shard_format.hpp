@@ -4,10 +4,9 @@
 // A shard directory holds one `manifest.dshard` plus `shard-NNNNNN.dshard`
 // files. Each shard is a contiguous CSR slice — a node range with its
 // offsets/adjacency/incident rows and the canonical edges whose lower
-// endpoint falls in the range — cut so a shard's word count matches the
-// simulator's per-machine space S (the same ClusterConfig::for_input formula
-// the Solver provisions with), i.e. shards are keyed by the machine
-// assignment of the MPC model. `MmapShardStorage` (mpc/storage.hpp) maps the
+// endpoint falls in the range — cut at a target word count derived from
+// n^eps (see ShardBuildOptions::shard_words; a 2^20-word floor dominates
+// at small n). `MmapShardStorage` (mpc/storage.hpp) maps the
 // shards read-only and exposes them to algorithms as `graph::GraphExtent`s,
 // so solving out of core never materializes the full CSR in RAM.
 //
@@ -136,9 +135,11 @@ struct ShardBuildOptions {
   /// would shift offsets computed in pass 1, so the builder rejects
   /// duplicate edges (at shard finalization) instead of dropping them.
   graph::EdgeListLimits limits;
-  /// Target words per shard; 0 derives S from (eps, space_headroom) exactly
-  /// like Solver provisioning: S = ClusterConfig::for_input with
-  /// total = space_headroom * (n + 2m).
+  /// Target words per shard; 0 derives it as
+  /// max(2^20, floor(space_headroom * max(16, floor(n^eps)))): the
+  /// mpc::provision machine space with headroom 1 and a 16-word minimum,
+  /// scaled by space_headroom after that floor, then floored at 2^20 words.
+  /// This is not the Solver's S (minimum 64, headroom inside the floor).
   std::uint64_t shard_words = 0;
   double eps = 0.5;
   double space_headroom = 8.0;

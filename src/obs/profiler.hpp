@@ -108,11 +108,12 @@ struct ProfileSnapshot {
 /// Sorts its argument; exposed for tests.
 std::uint64_t gini_ppm(std::vector<std::uint64_t> samples);
 
-/// Collects the skew timeline. Attach to a Cluster via set_profiler(); the
-/// cluster calls observe_load() from check_load() and commit() after every
-/// charge (Cluster::charge and step), so windows tile the round axis exactly
-/// like fault windows and a window's comm_words are its own superstep's. Not thread-safe by design:
-/// both hooks run on the orchestrating thread only.
+/// Collects the skew timeline. Attach to a Cluster through
+/// ClusterConfig::profiler; the cluster calls observe_load() from
+/// check_load() and commit() after every charge (Cluster::charge and step),
+/// so windows tile the round axis exactly like fault windows and a window's
+/// comm_words are its own superstep's. Not thread-safe by design: both hooks
+/// run on the orchestrating thread only.
 class RoundProfiler {
  public:
   static constexpr std::size_t kDefaultRingCapacity = 128;

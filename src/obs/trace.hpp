@@ -88,8 +88,9 @@ class TraceSession {
 
   bool active() const { return sink_ != nullptr; }
 
-  /// Attach the metrics source spans snapshot. The Cluster does this in
-  /// set_trace(); pass nullptr to detach.
+  /// Attach the metrics source spans snapshot. A Cluster built with this
+  /// session attaches its metrics and detaches them when it is destroyed;
+  /// pass nullptr to detach.
   void attach_metrics(const mpc::Metrics* metrics) { metrics_ = metrics; }
   const mpc::Metrics* metrics() const { return metrics_; }
 

@@ -15,7 +15,7 @@ using graph::Graph;
 
 TEST(CePipeline, MatchingValidOnSmallGraphs) {
   matching::DetMatchingConfig config;
-  config.selection_mode = matching::SelectionMode::kConditionalExpectation;
+  config.selection_mode = derand::SelectionMode::kConditionalExpectation;
   for (std::uint64_t seed : {1, 2}) {
     const Graph g = graph::gnm(96, 480, seed);
     const auto result = matching::det_maximal_matching(g, config);
@@ -25,7 +25,7 @@ TEST(CePipeline, MatchingValidOnSmallGraphs) {
 
 TEST(CePipeline, MisValidOnSmallGraphs) {
   mis::DetMisConfig config;
-  config.selection_mode = matching::SelectionMode::kConditionalExpectation;
+  config.selection_mode = derand::SelectionMode::kConditionalExpectation;
   for (std::uint64_t seed : {3, 4}) {
     const Graph g = graph::gnm(96, 480, seed);
     const auto result = mis::det_mis(g, config);
@@ -36,7 +36,7 @@ TEST(CePipeline, MisValidOnSmallGraphs) {
 TEST(CePipeline, DeterministicAndDistinctFromThresholdMode) {
   const Graph g = graph::gnm(80, 400, 5);
   matching::DetMatchingConfig ce;
-  ce.selection_mode = matching::SelectionMode::kConditionalExpectation;
+  ce.selection_mode = derand::SelectionMode::kConditionalExpectation;
   const auto a = matching::det_maximal_matching(g, ce);
   const auto b = matching::det_maximal_matching(g, ce);
   EXPECT_EQ(a.matching, b.matching);
@@ -51,7 +51,7 @@ TEST(CePipeline, SelectionTrialsReflectFullChunkSweeps) {
   // (every candidate chunk value is examined analytically).
   const Graph g = graph::gnm(64, 256, 6);
   matching::DetMatchingConfig config;
-  config.selection_mode = matching::SelectionMode::kConditionalExpectation;
+  config.selection_mode = derand::SelectionMode::kConditionalExpectation;
   const auto result = matching::det_maximal_matching(g, config);
   for (const auto& r : result.reports) {
     EXPECT_GT(r.selection_trials, 256u);  // p^2 with p >= m >= 256
@@ -60,9 +60,9 @@ TEST(CePipeline, SelectionTrialsReflectFullChunkSweeps) {
 
 TEST(CePipeline, StructuredSmallFamilies) {
   matching::DetMatchingConfig mm_config;
-  mm_config.selection_mode = matching::SelectionMode::kConditionalExpectation;
+  mm_config.selection_mode = derand::SelectionMode::kConditionalExpectation;
   mis::DetMisConfig mis_config;
-  mis_config.selection_mode = matching::SelectionMode::kConditionalExpectation;
+  mis_config.selection_mode = derand::SelectionMode::kConditionalExpectation;
   for (const Graph& g : {graph::cycle(40), graph::star(25),
                          graph::complete_bipartite(10, 12),
                          graph::grid(6, 6)}) {

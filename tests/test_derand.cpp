@@ -22,10 +22,11 @@
 namespace dmpc::derand {
 namespace {
 
-mpc::Cluster make_cluster() {
+mpc::Cluster make_cluster(std::uint32_t threads = 1) {
   mpc::ClusterConfig config;
   config.machine_space = 256;
   config.num_machines = 64;
+  config.threads = threads;
   return mpc::Cluster(config);
 }
 
@@ -136,8 +137,7 @@ struct ShortCircuitRun {
 /// Search seeds 0, 1, 2, ... (64 per batch) of a 1024-seed family for the
 /// single qualifying seed `hit`, on a cluster with `threads` host threads.
 ShortCircuitRun run_short_circuit(std::uint64_t hit, std::uint32_t threads) {
-  auto cluster = make_cluster();
-  cluster.set_executor(exec::Executor::with_threads(threads));
+  auto cluster = make_cluster(threads);
   HitCountingObjective objective(hit);
   SearchOptions options;
   options.threshold = 1.0;
@@ -201,8 +201,7 @@ TEST(SeedSearch, NoQualifyingSeedEvaluatesWholeBudgetThenThrows) {
   // the full `limit` evaluations (a partial last batch included) and then
   // throw, so the caller can widen the window and retry.
   for (std::uint32_t threads : {1u, 2u}) {
-    auto cluster = make_cluster();
-    cluster.set_executor(exec::Executor::with_threads(threads));
+    auto cluster = make_cluster(threads);
     HitCountingObjective objective(/*hit=*/1u << 20);  // outside the family
     SearchOptions options;
     options.threshold = 1.0;

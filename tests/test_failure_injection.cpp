@@ -19,8 +19,7 @@ namespace {
 
 using graph::Graph;
 
-/// Provision a pinned-geometry cluster through the Solver facade (hand-built
-/// mpc::ClusterConfig at call sites is deprecated).
+/// Provision a pinned-geometry cluster through the Solver facade.
 mpc::Cluster pinned_cluster(std::uint64_t machine_space,
                             std::uint64_t num_machines,
                             bool enforce_space = true) {
@@ -71,7 +70,7 @@ TEST(FailureInjection, LowDegPipelineRejectsHighDegreeInput) {
   // check rather than produce wrong output.
   const Graph hub = graph::star(4000);
   auto cluster = pinned_cluster(/*machine_space=*/256, /*num_machines=*/4096);
-  EXPECT_THROW(lowdeg::lowdeg_mis(cluster, hub, lowdeg::LowDegConfig{}),
+  EXPECT_THROW(lowdeg::lowdeg_mis(cluster, hub),
                CheckFailure);
 }
 
@@ -104,8 +103,9 @@ TEST(FailureInjection, LowLevelSortRejectsOversubscription) {
 TEST(FailureInjection, BadConfigsRejected) {
   EXPECT_THROW(mpc::Cluster(mpc::ClusterConfig{.machine_space = 1}),
                CheckFailure);
-  EXPECT_THROW(mpc::ClusterConfig::for_input(100, 0.0, 1000), CheckFailure);
-  EXPECT_THROW(mpc::ClusterConfig::for_input(100, 1.5, 1000), CheckFailure);
+  mpc::ClusterConfig no_backoff{.machine_space = 64};
+  no_backoff.recovery.backoff_rounds = 0;
+  EXPECT_THROW(mpc::Cluster{no_backoff}, CheckFailure);
 }
 
 TEST(FailureInjection, IterationCapTrips) {

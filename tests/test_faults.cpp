@@ -106,10 +106,13 @@ TEST(FaultPlan, ActiveFiltersWindowAndAttempt) {
 
 // ---- Low-level step: crash / drop / duplicate / straggler recovery ----
 
-Cluster small_cluster() {
+Cluster small_cluster(const FaultPlan& plan = {},
+                      RecoveryOptions recovery = {}) {
   ClusterConfig cc;
   cc.machine_space = 64;
   cc.num_machines = 4;
+  cc.faults = plan;
+  cc.recovery = recovery;
   return Cluster(cc);
 }
 
@@ -131,9 +134,8 @@ void sum_step(Cluster& cluster) {
 std::vector<std::vector<Word>> run_steps(const FaultPlan& plan,
                                          RecoveryOptions recovery,
                                          int steps = 3) {
-  Cluster cluster = small_cluster();
+  Cluster cluster = small_cluster(plan, recovery);
   cluster.load({{1, 2}, {3}, {4, 5}, {}});
-  if (!plan.empty()) cluster.set_faults(plan, recovery);
   for (int i = 0; i < steps; ++i) sum_step(cluster);
   std::vector<std::vector<Word>> locals;
   for (std::uint64_t i = 0; i < cluster.low_level_machines(); ++i) {
@@ -150,9 +152,8 @@ TEST(FaultRecovery, CrashedStepReplaysToIdenticalState) {
   const auto faulty = run_steps(plan, RecoveryOptions{});
   EXPECT_EQ(faulty, clean);
 
-  Cluster cluster = small_cluster();
+  Cluster cluster = small_cluster(plan);
   cluster.load({{1, 2}, {3}, {4, 5}, {}});
-  cluster.set_faults(plan, RecoveryOptions{});
   for (int i = 0; i < 3; ++i) sum_step(cluster);
   EXPECT_EQ(cluster.recovery_stats().crashes, 1u);
   EXPECT_EQ(cluster.recovery_stats().retries, 1u);
@@ -179,9 +180,8 @@ TEST(FaultRecovery, DuplicateAndStragglerNeverReplay) {
   straggler.delay = 5;
   plan.add(straggler);
 
-  Cluster cluster = small_cluster();
+  Cluster cluster = small_cluster(plan);
   cluster.load({{1, 2}, {3}, {4, 5}, {}});
-  cluster.set_faults(plan, RecoveryOptions{});
   for (int i = 0; i < 3; ++i) sum_step(cluster);
   std::vector<std::vector<Word>> locals;
   for (std::uint64_t i = 0; i < cluster.low_level_machines(); ++i) {
@@ -202,9 +202,8 @@ TEST(FaultRecovery, MetricsAreByteIdenticalUnderFaults) {
   FaultPlan plan;
   plan.add({FaultKind::kCrash, /*round=*/0, /*machine=*/0});
   plan.add({FaultKind::kDrop, /*round=*/2, /*machine=*/2, /*message=*/0});
-  Cluster faulty = small_cluster();
+  Cluster faulty = small_cluster(plan);
   faulty.load({{1, 2}, {3}, {4, 5}, {}});
-  faulty.set_faults(plan, RecoveryOptions{});
   for (int i = 0; i < 3; ++i) sum_step(faulty);
 
   EXPECT_EQ(faulty.metrics().rounds(), clean.metrics().rounds());
@@ -224,9 +223,8 @@ TEST(FaultRecovery, RetryExhaustionThrowsTypedErrorNotHang) {
   RecoveryOptions recovery;
   recovery.max_retries = 2;
 
-  Cluster cluster = small_cluster();
+  Cluster cluster = small_cluster(plan, recovery);
   cluster.load({{1}, {}, {}, {}});
-  cluster.set_faults(plan, recovery);
   try {
     sum_step(cluster);
     FAIL() << "expected FaultError";
@@ -246,9 +244,8 @@ TEST(FaultRecovery, CheckpointOffMakesCrashUnrecoverable) {
   RecoveryOptions recovery;
   recovery.checkpoint = CheckpointMode::kOff;
 
-  Cluster cluster = small_cluster();
+  Cluster cluster = small_cluster(plan, recovery);
   cluster.load({{1}, {}, {}, {}});
-  cluster.set_faults(plan, recovery);
   EXPECT_THROW(sum_step(cluster), FaultError);
 }
 
@@ -269,17 +266,15 @@ TEST(FaultRecovery, PhaseCheckpointingReplaysFurtherBack) {
   plan.add({FaultKind::kCrash, /*round=*/2, /*machine=*/0});
 
   RecoveryOptions round_ckpt;  // default kRound
-  Cluster a = small_cluster();
+  Cluster a = small_cluster(plan, round_ckpt);
   a.load({{1}, {}, {}, {}});
-  a.set_faults(plan, round_ckpt);
   a.mark_phase("test/phase");
   for (int i = 0; i < 3; ++i) sum_step(a);
 
   RecoveryOptions phase_ckpt;
   phase_ckpt.checkpoint = CheckpointMode::kPhase;
-  Cluster b = small_cluster();
+  Cluster b = small_cluster(plan, phase_ckpt);
   b.load({{1}, {}, {}, {}});
-  b.set_faults(plan, phase_ckpt);
   b.mark_phase("test/phase");
   for (int i = 0; i < 3; ++i) sum_step(b);
 
@@ -301,9 +296,8 @@ TEST(FaultRecovery, BackoffGrowsExponentially) {
   RecoveryOptions recovery;
   recovery.max_retries = 4;
 
-  Cluster cluster = small_cluster();
+  Cluster cluster = small_cluster(plan, recovery);
   cluster.load({{1}, {}, {}, {}});
-  cluster.set_faults(plan, recovery);
   sum_step(cluster);
   // Three retries of a 1-round superstep at backoff_rounds=1:
   // 1*2^0 + 1*2^1 + 1*2^2 = 7 replayed rounds.
@@ -325,8 +319,7 @@ TEST(FaultRecovery, PrimitivesReplayToIdenticalResults) {
   plan.add({FaultKind::kCrash, /*round=*/0, /*machine=*/0});
   plan.add({FaultKind::kDrop, /*round=*/clean.metrics().rounds() / 2,
             /*machine=*/1, /*message=*/0});
-  Cluster faulty = small_cluster();
-  faulty.set_faults(plan, RecoveryOptions{});
+  Cluster faulty = small_cluster(plan);
   EXPECT_EQ(mpc::prefix_sum_exclusive(faulty, values), clean_prefix);
   EXPECT_EQ(mpc::reduce_sum(faulty, values), clean_sum);
   EXPECT_GT(faulty.recovery_stats().faults_injected, 0u);
@@ -340,8 +333,7 @@ TEST(FaultRecovery, WindowsTileAcrossCentralCharges) {
   FaultPlan plan;
   plan.add({FaultKind::kCrash, /*round=*/3, /*machine=*/0});
 
-  Cluster cluster = small_cluster();
-  cluster.set_faults(plan, RecoveryOptions{});
+  Cluster cluster = small_cluster(plan);
   cluster.charge("test/stage_a", 2, 0);  // rounds [0, 2)
   cluster.charge("test/stage_b", 5, 0);  // rounds [2, 7) — fires
   EXPECT_EQ(cluster.recovery_stats().crashes, 1u);

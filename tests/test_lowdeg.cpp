@@ -131,9 +131,8 @@ TEST(PhaseCompression, SimulationIsPureFunction) {
 }
 
 TEST(LowDegSolver, PhasesScaleInverselyWithLogDelta) {
-  LowDegConfig config;
-  const auto l_small = phases_for(config, 1 << 16, 2);
-  const auto l_big = phases_for(config, 1 << 16, 64);
+  const auto l_small = phases_for(1 << 16, 2);
+  const auto l_big = phases_for(1 << 16, 64);
   EXPECT_GT(l_small, l_big);
   EXPECT_GE(l_big, 1u);
 }

@@ -75,11 +75,9 @@ TEST(DetMatching, IterationsLogarithmic) {
 
 TEST(DetMatching, SpaceWithinBudget) {
   const Graph g = graph::gnm(512, 4096, 8);
-  DetMatchingConfig config;
-  const auto cc = cluster_config_for(config, g.num_nodes(), g.num_edges());
-  const auto result = det_maximal_matching(g, config);
+  const auto result = det_maximal_matching(g, DetMatchingConfig{});
   // Simulator enforces this; re-assert from the metrics.
-  EXPECT_LE(result.metrics.peak_machine_load(), cc.machine_space);
+  EXPECT_LE(result.metrics.peak_machine_load(), result.machine_space);
 }
 
 TEST(DetMatching, RoundsAccumulateByLabel) {

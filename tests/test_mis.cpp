@@ -80,10 +80,8 @@ TEST(DetMis, PowerLawAndLopsided) {
 
 TEST(DetMis, SpaceWithinBudget) {
   const Graph g = graph::gnm(512, 4096, 9);
-  DetMisConfig config;
-  const auto cc = cluster_config_for(config, g.num_nodes(), g.num_edges());
-  const auto result = det_mis(g, config);
-  EXPECT_LE(result.metrics.peak_machine_load(), cc.machine_space);
+  const auto result = det_mis(g, DetMisConfig{});
+  EXPECT_LE(result.metrics.peak_machine_load(), result.machine_space);
 }
 
 TEST(DetMis, TinyGraphs) {

@@ -2,6 +2,7 @@
 // primitives, and distribution schemes.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 
 #include "mpc/cluster.hpp"
@@ -19,12 +20,56 @@ ClusterConfig small_config(std::uint64_t space, std::uint64_t machines) {
   return config;
 }
 
-TEST(ClusterConfig, ForInputDerivesSpaceAndMachines) {
-  const auto config = ClusterConfig::for_input(10000, 0.5, 50000);
-  EXPECT_EQ(config.machine_space, 100u);  // 10000^0.5
-  EXPECT_EQ(config.num_machines, 501u);
-  const auto floored = ClusterConfig::for_input(4, 0.5, 100, 16);
-  EXPECT_EQ(floored.machine_space, 16u);  // min_space floor
+// Expected values are the geometries the pipelines (with their overrides)
+// and the shard builder derived before they shared provision(). M = 0
+// leaves M unchecked: the shard builder reads only S.
+TEST(Provision, FillsOnlyTheZeroGeometryFields) {
+  ClusterConfig s_only;
+  s_only.machine_space = 100;
+  ClusterConfig m_only;
+  m_only.num_machines = 7;
+  ClusterConfig unchecked;
+  unchecked.enforce_space = false;
+  struct Case {
+    const char* name;
+    ClusterConfig requested;
+    std::uint64_t n, m;
+    double eps, headroom;
+    std::uint64_t min_space, space, machines;
+  };
+  const Case cases[] = {
+      {"pipeline", {}, 10000, 50000, 0.5, 8.0, 64, 800, 602},
+      {"min_space floor", {}, 4, 3, 0.5, 8.0, 64, 64, 3},
+      {"eps 0.3", {}, 4096, 24576, 0.3, 8.0, 64, 97, 2366},
+      {"S override, M from derived S", s_only, 10000, 50000, 0.5, 8.0, 64,
+       100, 602},
+      {"M override", m_only, 10000, 50000, 0.5, 8.0, 64, 800, 7},
+      {"enforce_space off", unchecked, 10000, 50000, 0.5, 8.0, 64, 800, 602},
+      {"lowdeg 4 Delta^3 floor, Delta 6", {}, 4096, 12288, 0.5, 8.0, 864, 864,
+       153},
+      {"lowdeg 4 Delta^3 floor, Delta 8", {}, 4096, 12288, 0.5, 8.0, 2048,
+       2048, 66},
+      {"lowdeg n^eps term, Delta 2", {}, 4096, 12288, 0.5, 8.0, 64, 512, 258},
+      {"shard_build", {}, 10000, 50000, 0.5, 1.0, 16, 100, 0},
+      {"shard_build, large n", {}, 131072, 1 << 20, 0.5, 1.0, 16, 362, 0},
+      {"shard_build floor", {}, 4, 3, 0.5, 1.0, 16, 16, 0},
+  };
+  for (const Case& c : cases) {
+    const ClusterConfig got =
+        provision(c.requested, c.n, c.m, c.eps, c.headroom, c.min_space);
+    EXPECT_EQ(got.machine_space, c.space) << c.name;
+    if (c.machines != 0) {
+      EXPECT_EQ(got.num_machines, c.machines) << c.name;
+    }
+    EXPECT_EQ(got.enforce_space, c.requested.enforce_space) << c.name;
+  }
+}
+
+TEST(Provision, RejectsEpsOutsideUnitInterval) {
+  for (const double eps : {0.0, -0.5, 1.5, std::nan("")}) {
+    EXPECT_THROW(provision({}, 100, 1000, eps, 8.0), CheckFailure) << eps;
+  }
+  EXPECT_EQ(provision({}, 100, 1000, 1.0, 1.0).machine_space, 100u);
 }
 
 TEST(Cluster, TreeDepthScaling) {

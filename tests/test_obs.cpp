@@ -276,7 +276,7 @@ TEST(Trace, PipelineSpanDeltaMatchesRunTotals) {
   obs::CollectorSink sink;
   obs::TraceSession session(&sink);
   mis::DetMisConfig config;
-  config.trace = &session;
+  config.cluster.trace = &session;
   const auto result = mis::det_mis(g, config);
   session.finish();
 
@@ -334,6 +334,29 @@ TEST(Trace, PipelineSpanDeltaMatchesRunTotals) {
   EXPECT_LE(phase_rounds, result.metrics.rounds());
 }
 
+TEST(Trace, SolveLeavesNoDanglingMetricsOnTheSession) {
+  // The pipeline's cluster lives on the solve's stack; when it is gone the
+  // session must no longer read its Metrics, certified or not. A span
+  // opened afterwards therefore carries no metric deltas.
+  const auto g = graph::gnm(192, 960, 7);
+  obs::CollectorSink sink;
+  obs::TraceSession session(&sink);
+  SolveOptions options;
+  options.trace = &session;
+  options.certify = verify::CertifyMode::kOff;
+  Solver(options).mis(g);
+  EXPECT_EQ(session.metrics(), nullptr);
+  { obs::Span span(&session, "after_solve"); }
+  session.finish();
+  const obs::TraceEvent& end = sink.events().back();
+  ASSERT_EQ(end.name, "after_solve");
+  for (const auto& a : end.args) {
+    EXPECT_NE(a.key, "rounds");
+    EXPECT_NE(a.key, "communication");
+    EXPECT_NE(a.key, "peak_load");
+  }
+}
+
 TEST(Trace, DisabledTracingLeavesMetricsIdentical) {
   const auto g = graph::gnm(160, 640, 9);
   mis::DetMisConfig plain_config;
@@ -342,7 +365,7 @@ TEST(Trace, DisabledTracingLeavesMetricsIdentical) {
   obs::CollectorSink sink;
   obs::TraceSession session(&sink);
   mis::DetMisConfig traced_config;
-  traced_config.trace = &session;
+  traced_config.cluster.trace = &session;
   const auto traced = mis::det_mis(g, traced_config);
   session.finish();
 
@@ -367,7 +390,7 @@ TEST(Sinks, GoldenJsonlTraceIsByteIdentical) {
     obs::JsonlTraceSink sink(&out, /*include_wall_time=*/false);
     obs::TraceSession session(&sink);
     mis::DetMisConfig config;
-    config.trace = &session;
+    config.cluster.trace = &session;
     mis::det_mis(g, config);
     session.finish();
     return out.str();
@@ -404,7 +427,7 @@ TEST(Sinks, ChromeTraceIsWellFormedAndBalanced) {
   obs::ChromeTraceSink sink(&out);
   obs::TraceSession session(&sink);
   mis::DetMisConfig config;
-  config.trace = &session;
+  config.cluster.trace = &session;
   mis::det_mis(g, config);
   session.finish();
 

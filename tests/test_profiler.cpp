@@ -328,9 +328,10 @@ TEST(ProfiledSolve, ProfileAndEventsAddUpToMetricsOnBothPipelines) {
 }
 
 TEST(ProfiledSolve, PrimitiveChargeCommitsAProfilerRecord) {
-  mpc::Cluster cluster(mpc::ClusterConfig{64, 8, true});
   obs::RoundProfiler profiler;
-  cluster.set_profiler(&profiler);
+  mpc::Cluster cluster(
+      mpc::ClusterConfig{.machine_space = 64, .num_machines = 8,
+                         .profiler = &profiler});
   const std::vector<std::uint64_t> values(100, 1);
   const auto prefix = mpc::prefix_sum_exclusive(cluster, values, "scan");
   EXPECT_EQ(prefix.back(), 99u);

@@ -85,11 +85,9 @@ TEST_P(SolverProperty, SparsificationPipelineProgressEveryIteration) {
 TEST_P(SolverProperty, MatchingPipelineSpaceBound) {
   const Graph g = make_graph();
   if (g.num_edges() == 0) GTEST_SKIP();
-  matching::DetMatchingConfig config;
-  const auto cc =
-      matching::cluster_config_for(config, g.num_nodes(), g.num_edges());
-  const auto result = matching::det_maximal_matching(g, config);
-  EXPECT_LE(result.metrics.peak_machine_load(), cc.machine_space);
+  const auto result =
+      matching::det_maximal_matching(g, matching::DetMatchingConfig{});
+  EXPECT_LE(result.metrics.peak_machine_load(), result.machine_space);
 }
 
 std::string param_name(const ::testing::TestParamInfo<Param>& info) {
@@ -159,11 +157,11 @@ TEST_P(SelectionModeSweep, MatchingAndMisValid) {
   const int family = GetParam();
   const Graph g = kWorkloads[family].make(72, 4);
   matching::DetMatchingConfig mm_config;
-  mm_config.selection_mode = matching::SelectionMode::kConditionalExpectation;
+  mm_config.selection_mode = derand::SelectionMode::kConditionalExpectation;
   const auto mm = matching::det_maximal_matching(g, mm_config);
   EXPECT_TRUE(graph::is_maximal_matching(g, mm.matching));
   mis::DetMisConfig mis_config;
-  mis_config.selection_mode = matching::SelectionMode::kConditionalExpectation;
+  mis_config.selection_mode = derand::SelectionMode::kConditionalExpectation;
   const auto m = mis::det_mis(g, mis_config);
   EXPECT_TRUE(graph::is_maximal_independent_set(g, m.in_set));
 }
