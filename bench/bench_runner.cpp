@@ -67,7 +67,6 @@
 #include "matching/det_matching.hpp"
 #include "mis/det_mis.hpp"
 #include "mpc/cluster.hpp"
-#include "mpc/io_faults.hpp"
 #include "mpc/lowlevel.hpp"
 #include "mpc/primitives.hpp"
 #include "mpc/shard_format.hpp"
@@ -582,7 +581,7 @@ Json e11_points(const RunConfig& cfg) {
     dmpc::mpc::Cluster cluster(dmpc::mpc::provision(
         {.enforce_space = false}, g.num_nodes(), g.num_edges(), config.eps,
         config.space_headroom));
-    const auto params = dmpc::matching::params_for(config, g.num_nodes());
+    const auto params = dmpc::sparsify::params_for(config.eps, g.num_nodes());
     std::vector<bool> alive(g.num_nodes(), true);
     const auto good =
         dmpc::sparsify::select_matching_good_set(cluster, params, g, alive);
@@ -1104,8 +1103,8 @@ Json e19_points(const RunConfig& cfg) {
 /// what the baseline gates.
 Json e20_points(const RunConfig& cfg) {
   (void)cfg;  // quick and full run the same instance
+  using dmpc::mpc::FaultPlan;
   using dmpc::mpc::IoFaultKind;
-  using dmpc::mpc::IoFaultPlan;
   const ScratchDir dir("dmpc_bench_e20");
   const Graph g = dmpc::graph::gnm(4000, 32000, 20);
   const std::string edge_path = dir.file("g.txt");
@@ -1115,29 +1114,29 @@ Json e20_points(const RunConfig& cfg) {
   const std::string shard_dir = dir.file("shards");
   const auto build_stats = dmpc::mpc::shard_build(edge_path, shard_dir, build);
 
-  IoFaultPlan transient;
+  FaultPlan transient;
   transient.add({IoFaultKind::kEio, /*shard=*/0, dmpc::mpc::kAccessOpen,
                  /*delay=*/1, /*attempts=*/2});
   transient.add({IoFaultKind::kShortRead, /*shard=*/1, dmpc::mpc::kAccessOpen,
                  /*delay=*/1, /*attempts=*/1});
   transient.add({IoFaultKind::kSlow, /*shard=*/0, dmpc::mpc::kAccessVerify,
                  /*delay=*/3, /*attempts=*/1});
-  IoFaultPlan heal;
+  FaultPlan heal;
   heal.add({IoFaultKind::kCorrupt, /*shard=*/0, dmpc::mpc::kAccessVerify,
             /*delay=*/1, /*attempts=*/1});
-  IoFaultPlan quarantine;
+  FaultPlan quarantine;
   quarantine.add({IoFaultKind::kCorrupt, /*shard=*/1, dmpc::mpc::kAccessVerify,
                   /*delay=*/1, /*attempts=*/4});
-  IoFaultPlan exhaust_mmap;
+  FaultPlan exhaust_mmap;
   exhaust_mmap.add({IoFaultKind::kMapFail, /*shard=*/0, dmpc::mpc::kAccessOpen,
                     /*delay=*/1,
                     /*attempts=*/dmpc::mpc::RecoveryOptions::kMaxRetries + 1});
   struct Scenario {
     const char* name;
-    IoFaultPlan plan;
+    FaultPlan plan;
     bool degrade;  ///< Open through the fallback path, not mmap.
   };
-  const std::vector<Scenario> scenarios = {{"clean", IoFaultPlan{}, false},
+  const std::vector<Scenario> scenarios = {{"clean", FaultPlan{}, false},
                                            {"transient", transient, false},
                                            {"heal", heal, false},
                                            {"quarantine", quarantine, false},

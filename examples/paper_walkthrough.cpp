@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   const auto g = dmpc::graph::gnm(n, m, 7);
 
   dmpc::matching::DetMatchingConfig config;
-  const auto params = dmpc::matching::params_for(config, g.num_nodes());
+  const auto params = dmpc::sparsify::params_for(config.eps, g.num_nodes());
   const auto cluster_config =
       dmpc::mpc::provision(config.cluster, g.num_nodes(), g.num_edges(),
                            config.eps, config.space_headroom);

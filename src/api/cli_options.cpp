@@ -103,7 +103,6 @@ CliSolveOptions parse_solve_options(const ArgParser& args) {
   options.storage.fallback =
       parse_fallback_mode(args.get("storage-fallback", "none"));
   cli.fault_plan_path = args.get("fault-plan", "");
-  cli.io_fault_plan_path = args.get("io-fault-plan", "");
   cli.metrics_out_path = args.get("metrics-out", "");
   cli.metrics_format = parse_metrics_format(args.get("metrics-format", "json"));
   cli.events_path = args.get("events", "");

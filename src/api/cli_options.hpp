@@ -51,9 +51,6 @@ struct CliSolveOptions {
   /// --fault-plan=<path>; empty = no plan. The caller loads the file and
   /// applies mpc::FaultPlan::parse(text) to options.faults.
   std::string fault_plan_path;
-  /// --io-fault-plan=<path>; empty = no plan. The caller loads the file and
-  /// applies mpc::IoFaultPlan::parse(text) to options.io_faults.
-  std::string io_fault_plan_path;
   /// --metrics-out=<path>; empty = no metrics dump. After a successful
   /// solve the caller writes the solve's full registry snapshot delta
   /// (all sections, grouped) there as JSON.
@@ -77,10 +74,9 @@ struct CliSolveOptions {
 };
 
 /// Parse --eps, --threads, --algorithm, --certify, --max-retries,
-/// --checkpoint, --profile, --fault-plan, --io-fault-plan, --metrics-out,
-/// --metrics-format, --storage, --shard-dir, --storage-verify,
-/// --storage-fallback, --events, --events-filter, --progress,
-/// --host-sample-ms. Numeric
+/// --checkpoint, --profile, --fault-plan, --metrics-out, --metrics-format,
+/// --storage, --shard-dir, --storage-verify, --storage-fallback, --events,
+/// --events-filter, --progress, --host-sample-ms. Numeric
 /// values are parsed strictly (ParseError on
 /// garbage/overflow); enum values raise OptionsError with the matching
 /// StatusCode. Flags not present keep SolveOptions defaults. Consistency of

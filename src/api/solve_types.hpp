@@ -61,17 +61,14 @@ struct SolveOptions {
   /// Residency never touches the model: solutions, kModel metrics, report
   /// JSON, and traces are byte-identical across backends (docs/STORAGE.md).
   mpc::StorageOptions storage;
-  /// Deterministic fault schedule injected into the simulated cluster. The
-  /// default (empty) plan is the fault-free run; see docs/FAULTS.md for the
-  /// identical-output recovery contract.
+  /// Deterministic fault schedule. Its model events are injected into the
+  /// simulated cluster; its host-I/O events (short reads, EIO, checksum
+  /// corruption, mmap failures, slow I/O keyed on shard index and access
+  /// ordinal — mpc/io_faults.hpp) into the storage layer, where they are a
+  /// no-op for the in-memory backend. The default (empty) plan is the
+  /// fault-free run; see docs/FAULTS.md for the identical-output recovery
+  /// contract.
   mpc::FaultPlan faults;
-  /// Deterministic host-I/O fault schedule injected into the storage layer
-  /// (short reads, EIO, checksum corruption, mmap failures, slow I/O keyed
-  /// on shard index and access ordinal — mpc/io_faults.hpp). A no-op for
-  /// the in-memory backend. The recovery ladder (retry -> quarantine ->
-  /// degrade) guarantees byte-identical solutions, reports (modulo the
-  /// recovery block), and traces for any admissible plan within budget.
-  mpc::IoFaultPlan io_faults;
   /// Retry/checkpoint policy tolerating `faults` (validated against it:
   /// a plan that provably exceeds the budget is kUnrecoverableFault).
   mpc::RecoveryOptions recovery;

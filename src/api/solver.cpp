@@ -89,8 +89,6 @@ const char* status_code_name(StatusCode code) {
       return "invalid_cluster_overrides";
     case StatusCode::kInvalidFaultPlan:
       return "invalid_fault_plan";
-    case StatusCode::kInvalidIoFaultPlan:
-      return "invalid_io_fault_plan";
     case StatusCode::kInvalidRetryBudget:
       return "invalid_retry_budget";
     case StatusCode::kUnrecoverableFault:
@@ -157,10 +155,6 @@ Status Solver::validate(const SolveOptions& options) {
   }
   if (const std::string problem = options.faults.check(); !problem.empty()) {
     return Status::error(StatusCode::kInvalidFaultPlan, problem);
-  }
-  if (const std::string problem = options.io_faults.check();
-      !problem.empty()) {
-    return Status::error(StatusCode::kInvalidIoFaultPlan, problem);
   }
   if (options.recovery.backoff_rounds < 1) {
     return Status::error(StatusCode::kInvalidRetryBudget,
@@ -368,7 +362,7 @@ MisSolution Solver::mis(const graph::Graph& g) const {
       solution.report.recovery = result.recovery;
       machine_space = result.machine_space;
       fill_audit(&solution.report.sparsify, result.reports,
-                 mis::params_for(config, g.num_nodes()).degree_cap(),
+                 sparsify::params_for(options_.eps, g.num_nodes()).degree_cap(),
                  [](const mis::MisIterationReport& r) {
                    return r.qprime_max_degree;
                  });
@@ -417,7 +411,7 @@ MatchingSolution Solver::maximal_matching(const graph::Graph& g) const {
       solution.report.recovery = result.recovery;
       machine_space = result.machine_space;
       fill_audit(&solution.report.sparsify, result.reports,
-                 matching::params_for(config, g.num_nodes()).degree_cap(),
+                 sparsify::params_for(options_.eps, g.num_nodes()).degree_cap(),
                  [](const matching::IterationReport& r) {
                    return r.estar_max_degree;
                  });
@@ -519,7 +513,7 @@ std::unique_ptr<mpc::Storage> Solver::open_storage(
     const std::string& input_path, const graph::EdgeListLimits& limits) const {
   require_valid();
   return mpc::open_storage(options_.storage, input_path, limits,
-                           options_.io_faults, options_.recovery);
+                           options_.faults, options_.recovery);
 }
 
 const verify::Certificate& Solver::certificate() const {
@@ -572,16 +566,13 @@ verify::Certificate Solver::certify_common(
   return certificate;
 }
 
-void Solver::record_certificate(verify::Certificate certificate,
+void Solver::record_certificate(obs::Span& span,
+                                verify::Certificate certificate,
                                 SolveReport* report) const {
-  // The span comes strictly after every pipeline span: a certify=off trace
-  // is a byte-prefix of the certify=on trace.
-  if (obs::enabled(options_.trace)) {
-    obs::Span span(options_.trace, "verify/certify");
-    span.arg("mode", std::string(verify::certify_mode_name(certificate.mode)));
-    span.arg("claims", static_cast<std::uint64_t>(certificate.claims.size()));
-    span.arg("failures", certificate.failures());
-  }
+  span.arg("mode", std::string(verify::certify_mode_name(certificate.mode)));
+  span.arg("claims", static_cast<std::uint64_t>(certificate.claims.size()));
+  span.arg("failures", certificate.failures());
+  span.end();
   // One model-section certificate_claim event per claim, emitted before the
   // failure throw below so a failing certificate is visible in the stream.
   // Claim order is the fixed certificate order, so the sequence is golden
@@ -610,6 +601,10 @@ void Solver::finalize_mis_certificate(const graph::Graph& g,
     last_certificate_ = verify::Certificate{};
     return;
   }
+  // The span covers every claim check and comes strictly after every
+  // pipeline span: a certify=off trace is a byte-prefix of the certify=on
+  // trace.
+  obs::Span span(options_.trace, "verify/certify");
   const verify::Certifier certifier(make_executor());
   std::vector<verify::ClaimResult> claims;
   claims.push_back(certifier.check_mis_independence(g, solution->in_set));
@@ -633,10 +628,10 @@ void Solver::finalize_mis_certificate(const graph::Graph& g,
     }
     return true;
   };
-  record_certificate(
-      certify_common(machine_space, solution->report, std::move(claims),
-                     replay),
-      &solution->report);
+  record_certificate(span,
+                     certify_common(machine_space, solution->report,
+                                    std::move(claims), replay),
+                     &solution->report);
 }
 
 void Solver::finalize_matching_certificate(const graph::Graph& g,
@@ -646,6 +641,7 @@ void Solver::finalize_matching_certificate(const graph::Graph& g,
     last_certificate_ = verify::Certificate{};
     return;
   }
+  obs::Span span(options_.trace, "verify/certify");
   const verify::Certifier certifier(make_executor());
   std::vector<verify::ClaimResult> claims;
   claims.push_back(certifier.check_matching_validity(g, solution->matching));
@@ -676,10 +672,10 @@ void Solver::finalize_matching_certificate(const graph::Graph& g,
     }
     return true;
   };
-  record_certificate(
-      certify_common(machine_space, solution->report, std::move(claims),
-                     replay),
-      &solution->report);
+  record_certificate(span,
+                     certify_common(machine_space, solution->report,
+                                    std::move(claims), replay),
+                     &solution->report);
 }
 
 }  // namespace dmpc

@@ -171,9 +171,10 @@ class Solver {
       const std::function<bool(std::uint64_t*, std::uint64_t*, std::string*)>&
           replay) const;
 
-  /// Emit the verify/certify span, embed the certificate in the report,
-  /// remember it, and throw CertificationError if any claim failed.
-  void record_certificate(verify::Certificate certificate,
+  /// Close the verify/certify `span` with the certificate's summary args,
+  /// embed the certificate in the report, remember it, and throw
+  /// CertificationError if any claim failed.
+  void record_certificate(obs::Span& span, verify::Certificate certificate,
                           SolveReport* report) const;
 
   void finalize_mis_certificate(const graph::Graph& g,

@@ -26,7 +26,6 @@ enum class StatusCode {
   kInvalidTraceFormat,   ///< trace sink set but format not jsonl|chrome.
   kInvalidClusterOverrides, ///< machine_space override must be 0 or >= 2.
   kInvalidFaultPlan,     ///< structurally malformed fault schedule.
-  kInvalidIoFaultPlan,   ///< structurally malformed host-I/O fault schedule.
   kInvalidRetryBudget,   ///< max_retries/backoff_rounds out of range.
   kUnrecoverableFault,   ///< plan provably exceeds the recovery policy.
   kInvalidCertifyMode,   ///< unknown certify mode name (CLI parsing).

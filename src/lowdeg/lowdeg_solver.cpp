@@ -64,9 +64,8 @@ LowDegMisResult lowdeg_mis(mpc::Cluster& cluster, const Graph& g) {
   const std::uint64_t phase_words = 2 * g.num_edges() + 2 * g.num_nodes();
 
   // --- Preprocessing (§5.2.2): coloring + family + ball gathering. ---
-  cluster.mark_phase("lowdeg/phase/coloring", phase_words);
   const auto coloring = [&] {
-    obs::Span phase_span(cluster.trace(), "lowdeg/phase/coloring");
+    const obs::Span span = cluster.phase("lowdeg/phase/coloring", phase_words);
     return distance2_coloring(cluster, g);
   }();
   result.colors = coloring.num_colors;
@@ -77,16 +76,14 @@ LowDegMisResult lowdeg_mis(mpc::Cluster& cluster, const Graph& g) {
   hash::FunctionSequence sequence(family, l, kPerPhaseCap);
 
   {
-    cluster.mark_phase("lowdeg/phase/gather", phase_words);
-    obs::Span phase_span(cluster.trace(), "lowdeg/phase/gather");
+    const obs::Span span = cluster.phase("lowdeg/phase/gather", phase_words);
     gather_neighborhoods(cluster, g, alive, /*radius=*/2 * l);
   }
 
   // --- Stages. ---
   while (graph::alive_edge_count(g, alive, cluster.executor()) > 0) {
     DMPC_CHECK_MSG(result.stages < kMaxStages, "stage cap exceeded");
-    cluster.mark_phase("lowdeg/stage", phase_words);
-    obs::Span stage_span(cluster.trace(), "lowdeg/stage");
+    obs::Span stage_span = cluster.phase("lowdeg/stage", phase_words);
     stage_span.arg("stage", static_cast<std::uint64_t>(result.stages + 1));
     const auto outcome = run_stage(cluster, g, alive, coloring.color, sequence,
                                    kSequenceBudget);

@@ -1,8 +1,6 @@
 #include "matching/det_matching.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <optional>
 
 #include "graph/validate.hpp"
 #include "hash/kwise.hpp"
@@ -124,14 +122,6 @@ class SelectionObjective final : public derand::RangeObjective {
 
 }  // namespace
 
-sparsify::Params params_for(const DetMatchingConfig& config, std::uint64_t n) {
-  sparsify::Params params;
-  params.n = std::max<std::uint64_t>(n, 2);
-  params.inv_delta = std::max<std::uint32_t>(
-      1, static_cast<std::uint32_t>(std::lround(8.0 / config.eps)));
-  return params;
-}
-
 DetMatchingResult det_maximal_matching(const Graph& g,
                                        const DetMatchingConfig& config) {
   mpc::Cluster cluster(mpc::provision(config.cluster, g.num_nodes(),
@@ -142,7 +132,8 @@ DetMatchingResult det_maximal_matching(const Graph& g,
 
 DetMatchingResult det_maximal_matching(mpc::Cluster& cluster, const Graph& g,
                                        const DetMatchingConfig& config) {
-  const sparsify::Params params = params_for(config, g.num_nodes());
+  const sparsify::Params params =
+      sparsify::params_for(config.eps, g.num_nodes());
   DetMatchingResult result;
   std::vector<bool> alive(g.num_nodes(), true);
   obs::Span pipeline_span(cluster.trace(), "matching/pipeline");
@@ -160,18 +151,18 @@ DetMatchingResult det_maximal_matching(mpc::Cluster& cluster, const Graph& g,
     iter_span.arg("iteration", report.iteration);
 
     // 1. Good nodes (Corollary 8).
-    cluster.mark_phase("matching/phase/good_nodes", phase_words);
     const auto good = [&] {
-      obs::Span phase_span(cluster.trace(), "matching/phase/good_nodes");
+      const obs::Span span =
+          cluster.phase("matching/phase/good_nodes", phase_words);
       return sparsify::select_matching_good_set(cluster, params, g, alive);
     }();
     report.cls = good.cls;
     report.edges_before = good.alive_edges;
 
     // 2. Sparsify E_0 -> E* (§3.2).
-    cluster.mark_phase("matching/phase/sparsify", phase_words);
     const auto sparse = [&] {
-      obs::Span phase_span(cluster.trace(), "matching/phase/sparsify");
+      const obs::Span span =
+          cluster.phase("matching/phase/sparsify", phase_words);
       return sparsify::sparsify_edges(cluster, params, g, good,
                                       config.sparsify);
     }();
@@ -187,9 +178,7 @@ DetMatchingResult det_maximal_matching(mpc::Cluster& cluster, const Graph& g,
     }
 
     // 3. Gather 2-hop neighborhoods of B-nodes in E* (space check, §3.3).
-    cluster.mark_phase("matching/phase/gather", phase_words);
-    std::optional<obs::Span> gather_span;
-    gather_span.emplace(cluster.trace(), "matching/phase/gather");
+    obs::Span gather_span = cluster.phase("matching/phase/gather", phase_words);
     std::vector<EdgeId> estar_edges;
     std::vector<std::vector<EdgeId>> estar_incident(g.num_nodes());
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
@@ -211,12 +200,10 @@ DetMatchingResult det_maximal_matching(mpc::Cluster& cluster, const Graph& g,
       mpc::charge_two_hop_gather(cluster, two_hop, good.in_B,
                                  "matching/gather2hop");
     }
-    gather_span.reset();
+    gather_span.end();
 
     // 4-5. Derandomized Lemma-13 selection.
-    cluster.mark_phase("matching/phase/derand", phase_words);
-    std::optional<obs::Span> derand_span;
-    derand_span.emplace(cluster.trace(), "matching/phase/derand");
+    obs::Span derand_span = cluster.phase("matching/phase/derand", phase_words);
     const auto alive_degree = graph::alive_degrees(g, alive, cluster.executor());
     const std::uint64_t domain = std::max<std::uint64_t>(2, g.num_edges());
     hash::KWiseFamily family(domain, domain, /*k=*/2);
@@ -232,14 +219,12 @@ DetMatchingResult det_maximal_matching(mpc::Cluster& cluster, const Graph& g,
     const derand::SearchResult committed =
         derand::select_seed(cluster, objective, family, selection);
     report.selection_trials = committed.trials;
-    if (derand_span->active()) {
-      derand_span->arg("candidate_seeds", committed.trials);
-      derand_span->arg("committed_seed", committed.seed);
-    }
-    derand_span.reset();
+    derand_span.arg("candidate_seeds", committed.trials);
+    derand_span.arg("committed_seed", committed.seed);
+    derand_span.end();
 
-    cluster.mark_phase("matching/phase/commit", phase_words);
-    obs::Span commit_span(cluster.trace(), "matching/phase/commit");
+    const obs::Span commit_span =
+        cluster.phase("matching/phase/commit", phase_words);
     const auto matched = objective.matching_for(committed.seed);
     DMPC_CHECK_MSG(!matched.empty(), "empty committed matching");
     report.matched_pairs = matched.size();

@@ -92,7 +92,4 @@ DetMatchingResult det_maximal_matching(mpc::Cluster& cluster,
                                        const graph::Graph& g,
                                        const DetMatchingConfig& config);
 
-/// Effective sparsification parameters for the config on an n-node graph.
-sparsify::Params params_for(const DetMatchingConfig& config, std::uint64_t n);
-
 }  // namespace dmpc::matching

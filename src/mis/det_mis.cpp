@@ -1,8 +1,6 @@
 #include "mis/det_mis.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <optional>
 
 #include "graph/validate.hpp"
 #include "hash/kwise.hpp"
@@ -122,14 +120,6 @@ class MisSelectionObjective final : public derand::RangeObjective {
 
 }  // namespace
 
-sparsify::Params params_for(const DetMisConfig& config, std::uint64_t n) {
-  sparsify::Params params;
-  params.n = std::max<std::uint64_t>(n, 2);
-  params.inv_delta = std::max<std::uint32_t>(
-      1, static_cast<std::uint32_t>(std::lround(8.0 / config.eps)));
-  return params;
-}
-
 DetMisResult det_mis(const Graph& g, const DetMisConfig& config) {
   mpc::Cluster cluster(mpc::provision(config.cluster, g.num_nodes(),
                                       g.num_edges(), config.eps,
@@ -140,7 +130,8 @@ DetMisResult det_mis(const Graph& g, const DetMisConfig& config) {
 DetMisResult det_mis(mpc::Cluster& cluster, const Graph& g,
                      const DetMisConfig& config) {
   obs::Span pipeline_span(cluster.trace(), "mis/pipeline");
-  const sparsify::Params params = params_for(config, g.num_nodes());
+  const sparsify::Params params =
+      sparsify::params_for(config.eps, g.num_nodes());
   DetMisResult result;
   result.in_set.assign(g.num_nodes(), false);
   std::vector<bool> alive(g.num_nodes(), true);
@@ -172,18 +163,16 @@ DetMisResult det_mis(mpc::Cluster& cluster, const Graph& g,
     report.isolated_added = absorb_isolated();
 
     // 2. Good nodes (Corollary 16).
-    cluster.mark_phase("mis/phase/good_nodes", phase_words);
     const auto good = [&] {
-      obs::Span span(cluster.trace(), "mis/phase/good_nodes");
+      const obs::Span span = cluster.phase("mis/phase/good_nodes", phase_words);
       return sparsify::select_mis_good_set(cluster, params, g, alive);
     }();
     report.cls = good.cls;
     report.edges_before = good.alive_edges;
 
     // 3. Sparsify Q_0 -> Q' (§4.2).
-    cluster.mark_phase("mis/phase/sparsify", phase_words);
     const auto sparse = [&] {
-      obs::Span span(cluster.trace(), "mis/phase/sparsify");
+      const obs::Span span = cluster.phase("mis/phase/sparsify", phase_words);
       return sparsify::sparsify_nodes(cluster, params, g, alive, good,
                                       config.sparsify);
     }();
@@ -198,12 +187,10 @@ DetMisResult det_mis(mpc::Cluster& cluster, const Graph& g,
           std::max(report.window_multiplier, s.window_multiplier);
     }
 
-    // 4. Build Q' structures and the N_v windows; charge the gather.
-    // (optional so the span can close before the derand phase opens while
-    // the gathered structures stay in scope)
-    cluster.mark_phase("mis/phase/gather", phase_words);
-    std::optional<obs::Span> gather_span;
-    gather_span.emplace(cluster.trace(), "mis/phase/gather");
+    // 4. Build Q' structures and the N_v windows; charge the gather. The
+    // span ends before the derand phase opens while the gathered structures
+    // stay in scope.
+    obs::Span gather_span = cluster.phase("mis/phase/gather", phase_words);
     std::vector<NodeId> q_nodes;
     std::vector<std::vector<NodeId>> q_adj(g.num_nodes());
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -233,12 +220,10 @@ DetMisResult det_mis(mpc::Cluster& cluster, const Graph& g,
       }
       mpc::charge_two_hop_gather(cluster, two_hop, good.in_B, "mis/gather");
     }
-    gather_span.reset();
+    gather_span.end();
 
     // 5-6. Derandomized Lemma-21 selection.
-    cluster.mark_phase("mis/phase/derand", phase_words);
-    std::optional<obs::Span> derand_span;
-    derand_span.emplace(cluster.trace(), "mis/phase/derand");
+    obs::Span derand_span = cluster.phase("mis/phase/derand", phase_words);
     const std::uint64_t domain = std::max<std::uint64_t>(2, g.num_nodes());
     hash::KWiseFamily family(domain, domain, /*k=*/2);
     MisSelectionObjective objective(g, family, q_nodes, q_adj, nv, b_nodes,
@@ -253,14 +238,12 @@ DetMisResult det_mis(mpc::Cluster& cluster, const Graph& g,
     const derand::SearchResult committed =
         derand::select_seed(cluster, objective, family, selection);
     report.selection_trials = committed.trials;
-    if (derand_span->active()) {
-      derand_span->arg("candidate_seeds", committed.trials);
-      derand_span->arg("committed_seed", committed.seed);
-    }
-    derand_span.reset();
+    derand_span.arg("candidate_seeds", committed.trials);
+    derand_span.arg("committed_seed", committed.seed);
+    derand_span.end();
 
-    cluster.mark_phase("mis/phase/commit", phase_words);
-    obs::Span commit_span(cluster.trace(), "mis/phase/commit");
+    const obs::Span commit_span =
+        cluster.phase("mis/phase/commit", phase_words);
     const auto independent = objective.independent_set_for(committed.seed);
     DMPC_CHECK_MSG(!independent.empty(), "empty committed independent set");
     report.independent_added = independent.size();

@@ -82,6 +82,4 @@ DetMisResult det_mis(const graph::Graph& g, const DetMisConfig& config);
 DetMisResult det_mis(mpc::Cluster& cluster, const graph::Graph& g,
                      const DetMisConfig& config);
 
-sparsify::Params params_for(const DetMisConfig& config, std::uint64_t n);
-
 }  // namespace dmpc::mis

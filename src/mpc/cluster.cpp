@@ -45,22 +45,9 @@ Cluster::Cluster(ClusterConfig config)
 }
 
 Cluster::~Cluster() {
-  close_open_phase();
   if (config_.trace != nullptr && config_.trace->metrics() == &metrics_) {
     config_.trace->attach_metrics(nullptr);
   }
-}
-
-void Cluster::close_open_phase() {
-  if (!phase_open_) return;
-  phase_open_ = false;
-  if (!obs::events_enabled(config_.events)) return;
-  obs::ProgressEvent e;
-  e.type = obs::EventType::kPhaseFinished;
-  e.label = open_phase_;
-  e.round = metrics_.rounds();
-  e.comm_words = metrics_.total_communication();
-  config_.events->emit(std::move(e));
 }
 
 void Cluster::commit(const std::string& label, std::uint64_t rounds) {
@@ -180,11 +167,6 @@ void Cluster::route_and_deliver(std::vector<std::vector<Message>>& outboxes,
 void Cluster::note_checkpoint(const std::string& label, std::uint64_t words) {
   recovery_stats_.checkpoints += 1;
   recovery_stats_.checkpoint_words += words;
-  if (config_.recovery.trace_recovery && obs::enabled(config_.trace)) {
-    config_.trace->instant("recovery/checkpoint",
-                           {obs::arg("label", label), obs::arg("words", words),
-                            obs::arg("round", metrics_.rounds())});
-  }
   emit_recovery_event(obs::EventType::kCheckpointTaken, label,
                       metrics_.rounds(), static_cast<std::int64_t>(words), "");
 }
@@ -220,35 +202,17 @@ void Cluster::register_retry(const std::string& label, std::uint64_t round,
   const std::uint64_t backoff = config_.recovery.backoff_rounds
                                 << std::min<std::uint32_t>(attempt, 32);
   recovery_stats_.replayed_rounds += (cost + rollback) * backoff;
-  if (config_.recovery.trace_recovery && obs::enabled(config_.trace)) {
-    config_.trace->instant(
-        "recovery/retry",
-        {obs::arg("label", label), obs::arg("round", round),
-         obs::arg("attempt", static_cast<std::uint64_t>(spent))});
-  }
 }
 
-void Cluster::mark_phase(const std::string& label, std::uint64_t state_words) {
-  // Phase events are model-section: they must flow on every plan, so they
-  // are emitted before the empty-plan early return below. The round/comm
-  // fields are fault-free by the Metrics contract.
-  close_open_phase();
-  if (obs::events_enabled(config_.events)) {
-    obs::ProgressEvent e;
-    e.type = obs::EventType::kPhaseStarted;
-    e.label = label;
-    e.round = metrics_.rounds();
-    e.comm_words = metrics_.total_communication();
-    e.value = static_cast<std::int64_t>(state_words);
-    config_.events->emit(std::move(e));
+obs::Span Cluster::phase(const std::string& label,
+                         std::uint64_t state_words) {
+  if (faulty()) {
+    phase_round_ = metrics_.rounds();
+    if (config_.recovery.checkpoint == CheckpointMode::kPhase) {
+      note_checkpoint(label, state_words);
+    }
   }
-  open_phase_ = label;
-  phase_open_ = true;
-  if (config_.faults.empty()) return;
-  phase_round_ = metrics_.rounds();
-  if (config_.recovery.checkpoint == CheckpointMode::kPhase) {
-    note_checkpoint(label, state_words);
-  }
+  return obs::Span(config_.trace, label);
 }
 
 void Cluster::charge(const std::string& label, std::uint64_t rounds,
@@ -262,8 +226,7 @@ void Cluster::charge(const std::string& label, std::uint64_t rounds,
   const std::uint64_t begin = std::min(fault_covered_round_, round);
   const std::uint64_t end = round + cost;
   fault_covered_round_ = end;
-  if (!config_.faults.empty() &&
-      config_.recovery.checkpoint == CheckpointMode::kRound) {
+  if (faulty() && config_.recovery.checkpoint == CheckpointMode::kRound) {
     note_checkpoint(label, state_words);
   }
   for (std::uint32_t attempt = 0;; ++attempt) {
@@ -315,7 +278,7 @@ void Cluster::step(const std::function<void(MachineContext&)>& compute,
                    const std::string& label) {
   obs::Span span(config_.trace, label);
   const std::uint64_t m = locals_.size();
-  if (config_.faults.empty()) {
+  if (!faulty()) {
     std::vector<std::vector<Message>> outboxes(m);
     // Machines are independent within a round: each compute touches only its
     // own locals_[i] / outboxes[i], so host-parallel execution is safe and
@@ -340,7 +303,7 @@ void Cluster::step(const std::function<void(MachineContext&)>& compute,
   if (config_.recovery.checkpoint != CheckpointMode::kOff) {
     // The snapshot itself is needed to restore state whichever granularity
     // is charged; under kPhase its *cost* was accounted at the last
-    // mark_phase, so only kRound records it here.
+    // phase(), so only kRound records it here.
     checkpoint = locals_;
     if (config_.recovery.checkpoint == CheckpointMode::kRound) {
       std::uint64_t words = 0;

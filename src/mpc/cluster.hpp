@@ -32,13 +32,13 @@
 #include "exec/parallel.hpp"
 #include "mpc/faults.hpp"
 #include "mpc/metrics.hpp"
+#include "obs/trace.hpp"
 #include "support/check.hpp"
 
 namespace dmpc::obs {
 class EventBus;
 enum class EventType : std::uint8_t;
 class RoundProfiler;
-class TraceSession;
 }
 
 namespace dmpc::mpc {
@@ -61,9 +61,10 @@ struct ClusterConfig {
   std::uint32_t threads = 1;
 
   /// Deterministic fault schedule plus the recovery policy that tolerates
-  /// it. An empty plan (the default) disables every fault/recovery code
-  /// path: no checkpoints are taken and the run is bit-for-bit the
-  /// fault-free execution with an all-zero RecoveryStats ledger.
+  /// it. The cluster reads only the plan's model events; without any (the
+  /// default, or an I/O-only plan) every fault/recovery code path is off:
+  /// no checkpoints are taken and the run is bit-for-bit the fault-free
+  /// execution with an all-zero RecoveryStats ledger.
   FaultPlan faults{};
   RecoveryOptions recovery{};
 
@@ -80,8 +81,7 @@ struct ClusterConfig {
   obs::RoundProfiler* profiler = nullptr;
   /// Progress-event bus (non-owning; null = off). Every charge emits a
   /// model-section round_completed event (with per-window load max / Gini
-  /// when a profiler is also attached); phase marks emit
-  /// phase_started/phase_finished pairs; the recovery engine emits
+  /// when a profiler is also attached); the recovery engine emits
   /// checkpoint/retry/recovered events into the recovery section. All
   /// emission happens on the orchestrating thread, after the corresponding
   /// Metrics charge, so the model event stream inherits the kModel
@@ -143,8 +143,7 @@ class Cluster {
   /// Validates the geometry and the fault plan, starts the executor and
   /// wires the trace session to this cluster's metrics.
   explicit Cluster(ClusterConfig config);
-  /// Closes a still-open phase (emits its phase_finished) and unwires the
-  /// trace session if it still reads this cluster's metrics.
+  /// Unwires the trace session if it still reads this cluster's metrics.
   ~Cluster();
   /// Not copyable, hence not movable: the trace session holds the address
   /// of this cluster's metrics. By-value returns are prvalues, which C++17
@@ -179,11 +178,13 @@ class Cluster {
   /// faults).
   std::uint64_t logical_round() const { return metrics_.rounds(); }
 
-  /// Declare a pipeline phase boundary. Under CheckpointMode::kPhase this is
-  /// where snapshots are charged; a replay rolls back to the latest mark.
+  /// Open pipeline phase `label`: the returned span (named `label`) covers
+  /// the phase in the trace. Under CheckpointMode::kPhase this boundary is
+  /// where snapshots are charged; a replay rolls back to the latest phase.
   /// `state_words` is the distributed state a phase snapshot would persist.
-  /// No-op while the fault plan is empty.
-  void mark_phase(const std::string& label, std::uint64_t state_words = 0);
+  /// Without model fault events only the span is opened.
+  [[nodiscard]] obs::Span phase(const std::string& label,
+                                std::uint64_t state_words);
 
   /// Charge one superstep: the only way model cost enters Metrics outside
   /// step(). `body` (the centrally-executed work, if any) runs under the
@@ -259,11 +260,12 @@ class Cluster {
   void register_retry(const std::string& label, std::uint64_t round,
                       std::uint64_t cost, std::uint32_t attempt);
 
-  /// Account one checkpoint of `words` words (optionally traced).
-  void note_checkpoint(const std::string& label, std::uint64_t words);
+  /// True when the plan schedules model faults: the only case in which the
+  /// checkpoint and replay machinery runs.
+  bool faulty() const { return !config_.faults.events().empty(); }
 
-  /// Emit phase_finished for the currently open phase, if any.
-  void close_open_phase();
+  /// Account one checkpoint of `words` words.
+  void note_checkpoint(const std::string& label, std::uint64_t words);
 
   /// Emit a recovery-section event with the standard round/comm fields.
   void emit_recovery_event(obs::EventType type, const std::string& label,
@@ -272,12 +274,10 @@ class Cluster {
 
   ClusterConfig config_;
   Metrics metrics_;
-  std::string open_phase_;  ///< Label of the phase awaiting phase_finished.
-  bool phase_open_ = false;
   exec::Executor executor_;
   std::vector<std::vector<Word>> locals_;
   RecoveryStats recovery_stats_;
-  std::uint64_t phase_round_ = 0;  ///< Logical round of the last phase mark.
+  std::uint64_t phase_round_ = 0;  ///< Logical round of the last phase.
   /// End of the last fault window. Successive windows tile [0, rounds), so
   /// events keyed on rounds charged outside any recoverable superstep still
   /// fire (at the first recoverable superstep after them).

@@ -9,7 +9,9 @@
 //  - A FaultPlan is a seed-free schedule of machine crashes, message drops,
 //    message duplications, and straggler delays, keyed on the *logical*
 //    round index (the fault-free round clock, Metrics::rounds()) and the
-//    machine index. Replays are reproducible: no wall clock, no RNG.
+//    machine index. The same plan carries the storage layer's host-I/O
+//    events (mpc/io_faults.hpp). Replays are reproducible: no wall clock,
+//    no RNG.
 //  - RecoveryOptions bound the retry engine: a superstep that loses a
 //    machine or a message is rolled back to the last checkpoint and
 //    replayed, up to max_retries times, each retry consuming an
@@ -60,45 +62,65 @@ struct FaultEvent {
   std::uint32_t attempts = 1; ///< Consecutive attempts the fault fires on.
 };
 
-/// A deterministic schedule of faults. Plans are plain data: copyable,
-/// comparable by their event list, and round-trippable through a text format
-/// (one event per line) for the CLI's --fault-plan flag.
+/// A deterministic schedule of faults in two key spaces: model events
+/// (FaultEvent, on the logical round clock), which the Cluster reads, and
+/// host-I/O events (IoFaultEvent, on shard index and access ordinal), which
+/// the storage layer reads. Plans are plain data: copyable, comparable by
+/// their event lists, and round-trippable through a text format (one event
+/// per line) for the CLI's --fault-plan flag.
 class FaultPlan {
  public:
   FaultPlan() = default;
-  explicit FaultPlan(std::vector<FaultEvent> events)
-      : events_(std::move(events)) {}
+  explicit FaultPlan(std::vector<FaultEvent> events,
+                     std::vector<IoFaultEvent> io_events = {})
+      : events_(std::move(events)), io_events_(std::move(io_events)) {}
 
-  bool empty() const { return events_.empty(); }
+  bool empty() const { return events_.empty() && io_events_.empty(); }
   const std::vector<FaultEvent>& events() const { return events_; }
+  const std::vector<IoFaultEvent>& io_events() const { return io_events_; }
   void add(FaultEvent event) { events_.push_back(event); }
+  void add(IoFaultEvent event) { io_events_.push_back(event); }
 
-  /// Events scheduled in the logical round window [begin, end) that still
-  /// fire on `attempt` (0-based attempt counter of the covering superstep).
+  /// Model events scheduled in the logical round window [begin, end) that
+  /// still fire on `attempt` (0-based attempt counter of the covering
+  /// superstep).
   std::vector<const FaultEvent*> active(std::uint64_t begin, std::uint64_t end,
                                         std::uint32_t attempt) const;
+
+  /// I/O events scheduled on (shard, access) that still fire on `attempt`
+  /// (0-based attempt counter of that access).
+  std::vector<const IoFaultEvent*> io_active(std::uint64_t shard,
+                                             std::uint64_t access,
+                                             std::uint32_t attempt) const;
 
   /// Structural admissibility: empty string when every event is well formed,
   /// else a description of the first problem (for StatusCode
   /// kInvalidFaultPlan).
   std::string check() const;
 
-  /// Hard caps on untrusted plan text (ParseErrorCode::kLimitExceeded).
+  /// Hard caps on untrusted plan text (ParseErrorCode::kLimitExceeded);
+  /// kMaxEvents counts the events of both key spaces.
   static constexpr std::uint64_t kMaxEvents = 1ull << 20;
   static constexpr std::uint64_t kMaxLineBytes = 1ull << 16;
 
   /// Parse the text format. Lines are
   ///   <crash|drop|duplicate|straggler> key=value ...
-  /// with keys round, machine, message, delay, attempts; '#' starts a
-  /// comment. Throws dmpc::ParseError (typed code + line/column + offending
-  /// token) on malformed or oversized input.
+  /// with keys round, machine, message, delay, attempts, or
+  ///   <short_read|eio|corrupt|map_fail|slow> key=value ...
+  /// with keys shard (a u64 or the word "manifest"), access, delay,
+  /// attempts. Each kind accepts only its own keys; `attempts` may be at
+  /// most RecoveryOptions::kMaxRetries + 1; '#' starts a comment. Throws
+  /// dmpc::ParseError (typed code + line/column + offending token) on
+  /// malformed or oversized input.
   static FaultPlan parse(const std::string& text);
 
-  /// Inverse of parse (stable one-line-per-event encoding).
+  /// Inverse of parse (stable one-line-per-event encoding: model events,
+  /// then I/O events).
   std::string to_string() const;
 
  private:
   std::vector<FaultEvent> events_;
+  std::vector<IoFaultEvent> io_events_;
 };
 
 /// Where recovery snapshots are taken.
@@ -123,10 +145,6 @@ struct RecoveryOptions {
   /// recovery budget (RecoveryStats::replayed_rounds). Must be >= 1.
   std::uint64_t backoff_rounds = 1;
   CheckpointMode checkpoint = CheckpointMode::kRound;
-  /// Emit recovery/retry and recovery/checkpoint instant events into the
-  /// attached trace session. Off by default so golden traces stay
-  /// byte-identical to the fault-free run.
-  bool trace_recovery = false;
 };
 
 /// Side ledger of everything the fault/recovery layer did. Deliberately

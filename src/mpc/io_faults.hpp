@@ -1,26 +1,24 @@
 // Deterministic host-I/O fault injection for the storage layer.
 //
-// The cluster-level FaultPlan (mpc/faults.hpp) schedules *model* faults —
-// machine crashes, message drops — on the logical round clock. IoFaultPlan
-// is its host-side sibling: a seed-free schedule of filesystem misbehavior
-// (short reads, EIO, checksum corruption, mmap refusals, slow-I/O
-// stragglers) keyed on (shard index, access ordinal) instead of (round,
-// machine). The storage layer assigns access ordinals deterministically
-// (0 = open/map, 1 = checksum verify, 2 = quarantine re-read), and an event
-// fires on attempts 0 .. attempts-1 of its access, so a transient fault
-// with attempts=k is survivable iff k <= RecoveryOptions::max_retries.
+// The model events of a FaultPlan (mpc/faults.hpp) are machine crashes and
+// message drops on the logical round clock. The same plan also schedules
+// host-side events: filesystem misbehavior (short reads, EIO, checksum
+// corruption, mmap refusals, slow-I/O stragglers) keyed on (shard index,
+// access ordinal) instead of (round, machine). The storage layer assigns
+// access ordinals deterministically (0 = open/map, 1 = checksum verify,
+// 2 = quarantine re-read), and an event fires on attempts 0 .. attempts-1 of
+// its access, so a transient fault with attempts=k is survivable iff
+// k <= RecoveryOptions::max_retries.
 //
 // The hard guarantee mirrors docs/FAULTS.md: a solve under any admissible
-// IoFaultPlan within the retry budget produces byte-identical solutions,
-// report JSON (modulo the "recovery" block), and golden traces to the
-// fault-free run — injected I/O failures are absorbed by the recovery
-// ladder in storage.cpp (retry -> quarantine -> degrade) and ledgered in
+// plan within the retry budget produces byte-identical solutions, report
+// JSON (modulo the "recovery" block), and golden traces to the fault-free
+// run — injected I/O failures are absorbed by the recovery ladder in
+// storage.cpp (retry -> quarantine -> degrade) and ledgered in
 // IoRecoveryStats, never in the model.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "mpc/storage_error.hpp"
 
@@ -54,50 +52,6 @@ struct IoFaultEvent {
   std::uint64_t access = kAccessOpen;
   std::uint64_t delay = 1;     ///< Slow-I/O delay in backoff units (>= 1).
   std::uint32_t attempts = 1;  ///< Consecutive attempts the fault fires on.
-};
-
-/// A deterministic schedule of I/O faults. Plans are plain data: copyable,
-/// comparable by their event list, and round-trippable through a text
-/// format (one event per line) for the CLI's --io-fault-plan flag. A plan
-/// attached to the in-memory backend is a valid no-op: there is no host
-/// I/O to perturb.
-class IoFaultPlan {
- public:
-  IoFaultPlan() = default;
-  explicit IoFaultPlan(std::vector<IoFaultEvent> events)
-      : events_(std::move(events)) {}
-
-  bool empty() const { return events_.empty(); }
-  const std::vector<IoFaultEvent>& events() const { return events_; }
-  void add(IoFaultEvent event) { events_.push_back(event); }
-
-  /// Events scheduled on (shard, access) that still fire on `attempt`
-  /// (0-based attempt counter of that access).
-  std::vector<const IoFaultEvent*> active(std::uint64_t shard,
-                                          std::uint64_t access,
-                                          std::uint32_t attempt) const;
-
-  /// Structural admissibility: empty string when every event is well
-  /// formed, else a description of the first problem (for StatusCode
-  /// kInvalidIoFaultPlan).
-  std::string check() const;
-
-  /// Hard caps on untrusted plan text (ParseErrorCode::kLimitExceeded).
-  static constexpr std::uint64_t kMaxEvents = 1ull << 20;
-  static constexpr std::uint64_t kMaxLineBytes = 1ull << 16;
-
-  /// Parse the text format. Lines are
-  ///   <short_read|eio|corrupt|map_fail|slow> key=value ...
-  /// with keys shard (a u64 or the word "manifest"), access, delay,
-  /// attempts; '#' starts a comment. Throws dmpc::ParseError (typed code +
-  /// line/column + offending token) on malformed or oversized input.
-  static IoFaultPlan parse(const std::string& text);
-
-  /// Inverse of parse (stable one-line-per-event encoding).
-  std::string to_string() const;
-
- private:
-  std::vector<IoFaultEvent> events_;
 };
 
 /// Side ledger of everything the storage recovery ladder did, embedded in

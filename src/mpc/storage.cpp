@@ -106,7 +106,7 @@ const unsigned char* MmapShardStorage::shard_bytes(std::uint64_t index) const {
 void MmapShardStorage::fault_point(std::uint64_t shard, std::uint64_t access,
                                    bool* corrupt) const {
   const std::uint32_t attempt = attempts_[{shard, access}]++;
-  for (const IoFaultEvent* event : io_faults_.active(shard, access, attempt)) {
+  for (const IoFaultEvent* event : faults_.io_active(shard, access, attempt)) {
     ++io_ledger_.io_faults_injected;
     switch (event->kind) {
       case IoFaultKind::kSlow:
@@ -292,12 +292,12 @@ IntegrityReport MmapShardStorage::verify_integrity() const {
 
 std::unique_ptr<MmapShardStorage> MmapShardStorage::open(
     const std::string& dir, const graph::EdgeListLimits& limits,
-    VerifyMode verify, const IoFaultPlan& io_faults,
+    VerifyMode verify, const FaultPlan& faults,
     const RecoveryOptions& recovery) {
   auto storage = std::unique_ptr<MmapShardStorage>(new MmapShardStorage());
   storage->dir_ = dir;
   storage->verify_ = verify;
-  storage->io_faults_ = io_faults;
+  storage->faults_ = faults;
   storage->recovery_ = recovery;
 
   const std::string manifest_path =
@@ -421,18 +421,18 @@ StorageStats MmapShardStorage::stats() const {
 std::unique_ptr<Storage> open_storage(const StorageOptions& options,
                                       const std::string& input_path,
                                       const graph::EdgeListLimits& limits,
-                                      const IoFaultPlan& io_faults,
+                                      const FaultPlan& faults,
                                       const RecoveryOptions& recovery) {
   switch (options.backend) {
     case StorageBackend::kMemory:
-      // An io-fault plan against the heap backend is a valid no-op: there
+      // I/O fault events against the heap backend are a valid no-op: there
       // is no host I/O to perturb.
       return std::make_unique<InMemoryStorage>(
           graph::read_edge_list_file(input_path, limits));
     case StorageBackend::kMmap:
       try {
         return MmapShardStorage::open(options.shard_dir, limits,
-                                      options.verify, io_faults, recovery);
+                                      options.verify, faults, recovery);
       } catch (const StorageError& e) {
         if (options.fallback != FallbackMode::kMemory || input_path.empty()) {
           throw;

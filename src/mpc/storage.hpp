@@ -28,7 +28,6 @@
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
 #include "mpc/faults.hpp"
-#include "mpc/io_faults.hpp"
 #include "mpc/shard_format.hpp"
 #include "mpc/storage_error.hpp"
 
@@ -174,13 +173,13 @@ class InMemoryStorage final : public Storage {
 /// into a whole-backend degradation. With kOff (the default) payloads are
 /// trusted after structural validation, exactly as before — full content
 /// verification on demand is what --certify's storage_integrity claim is
-/// for. An `io_faults` plan deterministically injects host-I/O failures
-/// into every access (mpc/io_faults.hpp).
+/// for. The I/O events of a `faults` plan deterministically inject host-I/O
+/// failures into every access (mpc/io_faults.hpp).
 class MmapShardStorage final : public Storage {
  public:
   static std::unique_ptr<MmapShardStorage> open(
       const std::string& dir, const graph::EdgeListLimits& limits = {},
-      VerifyMode verify = VerifyMode::kOff, const IoFaultPlan& io_faults = {},
+      VerifyMode verify = VerifyMode::kOff, const FaultPlan& faults = {},
       const RecoveryOptions& recovery = {});
 
   const graph::Graph& graph() const override { return graph_; }
@@ -199,7 +198,7 @@ class MmapShardStorage final : public Storage {
   /// The shard's bytes as currently served: quarantined heap copy if one
   /// exists, else the read-only mapping.
   const unsigned char* shard_bytes(std::uint64_t index) const;
-  /// Fire scheduled io-fault events for attempt N of (shard, access);
+  /// Fire scheduled I/O fault events for attempt N of (shard, access);
   /// `corrupt` is set when a corruption event wants the caller to observe
   /// checksum-corrupted bytes.
   void fault_point(std::uint64_t shard, std::uint64_t access,
@@ -215,7 +214,7 @@ class MmapShardStorage final : public Storage {
   std::vector<unsigned char> manifest_bytes_;
   std::string dir_;
   VerifyMode verify_ = VerifyMode::kOff;
-  IoFaultPlan io_faults_;
+  FaultPlan faults_;
   RecoveryOptions recovery_;
   /// Cumulative attempt counter per (shard, access): every retry of an
   /// access advances it, so plan events key deterministic schedules off it.
@@ -225,15 +224,15 @@ class MmapShardStorage final : public Storage {
 
 /// Open the backend selected by `options`: kMemory reads `input_path` as a
 /// text edge list (read_edge_list_file), kMmap opens options.shard_dir
-/// under options.verify with `io_faults`/`recovery` driving the injection
-/// and retry ladder. When the mmap backend fails with a StorageError and
-/// options.fallback is kMemory, degrades to an InMemoryStorage re-read of
-/// `input_path` (ledgered as storage/degraded). Shared by the CLI and
-/// benches.
+/// under options.verify with the I/O events of `faults` and `recovery`
+/// driving the injection and retry ladder (model events are ignored). When
+/// the mmap backend fails with a StorageError and options.fallback is
+/// kMemory, degrades to an InMemoryStorage re-read of `input_path`
+/// (ledgered as storage/degraded). Shared by the CLI and benches.
 std::unique_ptr<Storage> open_storage(const StorageOptions& options,
                                       const std::string& input_path,
                                       const graph::EdgeListLimits& limits = {},
-                                      const IoFaultPlan& io_faults = {},
+                                      const FaultPlan& faults = {},
                                       const RecoveryOptions& recovery = {});
 
 /// Export a storage's host-side residency into the global registry's kHost

@@ -13,8 +13,6 @@ const char* event_type_name(EventType type) {
   switch (type) {
     case EventType::kSolveStarted: return "solve_started";
     case EventType::kSolveFinished: return "solve_finished";
-    case EventType::kPhaseStarted: return "phase_started";
-    case EventType::kPhaseFinished: return "phase_finished";
     case EventType::kRoundCompleted: return "round_completed";
     case EventType::kCheckpointTaken: return "checkpoint_taken";
     case EventType::kRecoveryAttempt: return "recovery_attempt";
@@ -33,8 +31,6 @@ EventSection event_section(EventType type) {
   switch (type) {
     case EventType::kSolveStarted:
     case EventType::kSolveFinished:
-    case EventType::kPhaseStarted:
-    case EventType::kPhaseFinished:
     case EventType::kRoundCompleted:
     case EventType::kCertificateClaim:
       return EventSection::kModel;
@@ -54,9 +50,6 @@ std::uint32_t category_bit(EventType type) {
     case EventType::kSolveStarted:
     case EventType::kSolveFinished:
       return EventFilter::kSolve;
-    case EventType::kPhaseStarted:
-    case EventType::kPhaseFinished:
-      return EventFilter::kPhase;
     case EventType::kRoundCompleted: return EventFilter::kRound;
     case EventType::kCheckpointTaken: return EventFilter::kCheckpoint;
     case EventType::kRecoveryAttempt:
@@ -77,7 +70,6 @@ struct CategoryName {
 // event_filter_to_string.
 constexpr CategoryName kCategories[] = {
     {"solve", EventFilter::kSolve},
-    {"phase", EventFilter::kPhase},
     {"round", EventFilter::kRound},
     {"checkpoint", EventFilter::kCheckpoint},
     {"recovery", EventFilter::kRecovery},

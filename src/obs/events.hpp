@@ -3,7 +3,7 @@
 // The trace layer (trace.hpp) records *spans* — nested regions with host
 // timestamps — and the metrics registry records *totals*. This layer sits in
 // between: a flat, forward-only stream of coarse progress events
-// (solve/phase/round/recovery/certificate) that a client can tail while a
+// (solve/round/recovery/certificate) that a client can tail while a
 // solve is running. It is the substrate the ROADMAP's solver-as-a-service
 // item streams over.
 //
@@ -12,7 +12,7 @@
 //      - kModel events are deterministic functions of (graph, options minus
 //        threads): byte-identical across thread counts, fault plans, and
 //        storage backends. They carry their own dense `seq` numbering.
-//      - kRecovery events surface fault/io-fault/storage rungs: deterministic
+//      - kRecovery events surface fault/storage recovery rungs: deterministic
 //        for a fixed plan but plan-dependent. They use a *separate* dense
 //        `seq` so interleaved recovery traffic never perturbs the model
 //        numbering.
@@ -43,8 +43,6 @@ inline constexpr std::uint32_t kEventStreamVersion = 1;
 enum class EventType : std::uint8_t {
   kSolveStarted = 0,
   kSolveFinished,
-  kPhaseStarted,
-  kPhaseFinished,
   kRoundCompleted,
   kCheckpointTaken,
   kRecoveryAttempt,
@@ -73,7 +71,7 @@ struct ProgressEvent {
   EventType type = EventType::kSolveStarted;
   EventSection section = EventSection::kModel;  // derived; bus overwrites
   std::uint64_t seq = 0;      // dense per-section, assigned by the bus
-  std::string label;          // phase/round label, claim name, algorithm
+  std::string label;          // round label, claim name, algorithm
   std::uint64_t round = 0;    // logical round counter after the event
   std::uint64_t rounds = 0;   // rounds charged by this event
   std::uint64_t comm_words = 0;   // cumulative communication words
@@ -91,15 +89,13 @@ struct ProgressEvent {
 class EventFilter {
  public:
   static constexpr std::uint32_t kSolve = 1u << 0;        // solve_*
-  static constexpr std::uint32_t kPhase = 1u << 1;        // phase_*
-  static constexpr std::uint32_t kRound = 1u << 2;        // round_completed
-  static constexpr std::uint32_t kCheckpoint = 1u << 3;   // checkpoint_taken
-  static constexpr std::uint32_t kRecovery = 1u << 4;     // recovery_*
-  static constexpr std::uint32_t kStorage = 1u << 5;      // storage_degraded
-  static constexpr std::uint32_t kCertificate = 1u << 6;  // certificate_claim
+  static constexpr std::uint32_t kRound = 1u << 1;        // round_completed
+  static constexpr std::uint32_t kCheckpoint = 1u << 2;   // checkpoint_taken
+  static constexpr std::uint32_t kRecovery = 1u << 3;     // recovery_*
+  static constexpr std::uint32_t kStorage = 1u << 4;      // storage_degraded
+  static constexpr std::uint32_t kCertificate = 1u << 5;  // certificate_claim
   static constexpr std::uint32_t kAll =
-      kSolve | kPhase | kRound | kCheckpoint | kRecovery | kStorage |
-      kCertificate;
+      kSolve | kRound | kCheckpoint | kRecovery | kStorage | kCertificate;
 
   EventFilter() = default;
   explicit EventFilter(std::uint32_t mask) : mask_(mask & kAll) {}
@@ -113,7 +109,7 @@ class EventFilter {
 };
 
 /// Parse a comma-separated category list ("round,recovery,certificate").
-/// Accepted keywords: solve, phase, round, checkpoint, recovery, storage,
+/// Accepted keywords: solve, round, checkpoint, recovery, storage,
 /// certificate, all. Throws OptionsError(kInvalidEventFilter) on an empty
 /// list, empty element, duplicate, or unknown keyword.
 EventFilter parse_event_filter(const std::string& text);

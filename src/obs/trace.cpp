@@ -1,5 +1,7 @@
 #include "obs/trace.hpp"
 
+#include <utility>
+
 #include "mpc/metrics.hpp"
 #include "support/check.hpp"
 
@@ -78,7 +80,7 @@ Span::Span(TraceSession* session, const std::string& name) {
   id_ = session_->begin_span(name_);
 }
 
-Span::~Span() {
+void Span::end() {
   if (!active()) return;
   if (const mpc::Metrics* m = session_->metrics()) {
     end_args_.push_back(obs::arg("rounds", m->rounds() - rounds_before_));
@@ -86,7 +88,7 @@ Span::~Span() {
         obs::arg("communication", m->total_communication() - comm_before_));
     end_args_.push_back(obs::arg("peak_load", m->peak_machine_load()));
   }
-  session_->end_span(id_, name_, std::move(end_args_));
+  std::exchange(session_, nullptr)->end_span(id_, name_, std::move(end_args_));
 }
 
 void Span::arg(std::string key, std::uint64_t v) {

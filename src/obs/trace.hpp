@@ -140,14 +140,18 @@ inline bool enabled(const TraceSession* session) {
 }
 
 /// RAII span: emits a begin event on construction and an end event on
-/// destruction. The end event carries the rounds/communication charged and
-/// the peak load observed while the span was open (when the session is
-/// attached to a Metrics object) plus any args attached via Span::arg().
-/// Constructing with a null/inactive session is a no-op.
+/// destruction (or at end(), whichever comes first). The end event carries
+/// the rounds/communication charged and the peak load observed while the
+/// span was open (when the session is attached to a Metrics object) plus
+/// any args attached via Span::arg(). Constructing with a null/inactive
+/// session is a no-op.
 class Span {
  public:
   Span(TraceSession* session, const std::string& name);
-  ~Span();
+  ~Span() { end(); }
+
+  /// Emit the end event now; the span is inactive afterwards.
+  void end();
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;

@@ -122,8 +122,7 @@ NodeSparsifyResult sparsify_nodes(mpc::Cluster& cluster, const Params& params,
     ++stage;
     // Each stage rewrites the survivor set from the previous one, so it is a
     // recovery-safe boundary for phase-granularity checkpoints.
-    cluster.mark_phase("mis_sparsify/stage", g.num_nodes());
-    obs::Span stage_span(cluster.trace(), "mis_sparsify/stage");
+    obs::Span stage_span = cluster.phase("mis_sparsify/stage", g.num_nodes());
     stage_span.arg("stage", static_cast<std::uint64_t>(stage));
 
     // --- Distribute neighbor lists into per-owner windows. ---

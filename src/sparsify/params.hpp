@@ -8,6 +8,7 @@
 // graph and stays fixed across iterations (S is provisioned against it).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -62,5 +63,15 @@ struct Params {
     return i <= 4 ? 0 : i - 4;
   }
 };
+
+/// The parameters of a pipeline with space exponent `eps` on an n-node
+/// graph: delta = eps/8, i.e. inv_delta = round(8/eps) (at least 1).
+inline Params params_for(double eps, std::uint64_t n) {
+  Params params;
+  params.n = std::max<std::uint64_t>(n, 2);
+  params.inv_delta = std::max<std::uint32_t>(
+      1, static_cast<std::uint32_t>(std::lround(8.0 / eps)));
+  return params;
+}
 
 }  // namespace dmpc::sparsify

@@ -102,68 +102,6 @@ std::uint64_t require_u64(const Token& tok, std::uint64_t line) {
   return value;
 }
 
-void scan_plan(
-    const std::string& text, const PlanGrammar& grammar,
-    const std::function<bool(const std::string& kind)>& kind,
-    const std::function<bool(const std::string& key, const Token& value,
-                             std::uint64_t line)>& field,
-    const std::function<void()>& add) {
-  std::istringstream lines(text);
-  std::string line;
-  std::uint64_t line_no = 0;
-  std::uint64_t events = 0;
-  while (std::getline(lines, line)) {
-    ++line_no;
-    if (line.size() > grammar.max_line_bytes) {
-      throw ParseError(ParseErrorCode::kLimitExceeded,
-                       "line exceeds " +
-                           std::to_string(grammar.max_line_bytes) +
-                           " byte limit",
-                       line_no);
-    }
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.resize(hash);
-    }
-    const std::vector<Token> toks = tokenize(line);
-    if (toks.empty()) continue;  // blank / comment-only line
-    if (!kind(toks[0].text)) {
-      throw ParseError(ParseErrorCode::kBadToken, grammar.kind_error, line_no,
-                       toks[0].column, clip(toks[0].text));
-    }
-    for (std::size_t i = 1; i < toks.size(); ++i) {
-      const Token& tok = toks[i];
-      const auto eq = tok.text.find('=');
-      if (eq == std::string::npos) {
-        throw ParseError(ParseErrorCode::kMalformedLine, "expected key=value",
-                         line_no, tok.column, clip(tok.text));
-      }
-      const std::string key = tok.text.substr(0, eq);
-      // Locate the value token precisely: its column is just past the '='.
-      const Token value{tok.text.substr(eq + 1), tok.column + eq + 1};
-      if (key == "attempts" &&
-          require_u64(value, line_no) > grammar.retry_cap + 1) {
-        throw ParseError(ParseErrorCode::kOutOfRange,
-                         "attempts exceeds retry cap of " +
-                             std::to_string(grammar.retry_cap),
-                         line_no, value.column, clip(value.text));
-      }
-      if (!field(key, value, line_no)) {
-        throw ParseError(ParseErrorCode::kBadToken, grammar.key_error, line_no,
-                         tok.column, clip(key));
-      }
-    }
-    if (events >= grammar.max_events) {
-      throw ParseError(ParseErrorCode::kLimitExceeded,
-                       "plan exceeds " + std::to_string(grammar.max_events) +
-                           " event limit",
-                       line_no);
-    }
-    ++events;
-    add();
-  }
-}
-
 }  // namespace parse
 
 }  // namespace dmpc

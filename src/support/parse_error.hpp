@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -101,29 +100,6 @@ std::string clip(const std::string& token);
 
 /// parse_u64 or throw ParseError (kBadToken / kOverflow) locating `tok`.
 std::uint64_t require_u64(const Token& tok, std::uint64_t line);
-
-/// The shape and caps of a line-oriented event plan (the fault plans).
-struct PlanGrammar {
-  std::uint64_t max_line_bytes = 0;  ///< Longer lines: kLimitExceeded.
-  std::uint64_t max_events = 0;      ///< More events: kLimitExceeded.
-  std::uint64_t retry_cap = 0;  ///< `attempts` may be at most retry_cap + 1.
-  std::string kind_error;  ///< Message for a kind the plan rejects.
-  std::string key_error;   ///< Message for a key the plan rejects.
-};
-
-/// Scan one `<kind> key=value ...` event per line: '#' starts a comment, a
-/// trailing CR is dropped and blank lines are skipped. For each event,
-/// `kind` parses the first token and `field` each key=value pair in order
-/// (`value` located at its own column); returning false rejects the token
-/// (kBadToken). A pair without '=' is kMalformedLine, and an `attempts`
-/// value over the retry cap is kOutOfRange before `field` sees it. `add`
-/// then takes the finished event.
-void scan_plan(
-    const std::string& text, const PlanGrammar& grammar,
-    const std::function<bool(const std::string& kind)>& kind,
-    const std::function<bool(const std::string& key, const Token& value,
-                             std::uint64_t line)>& field,
-    const std::function<void()>& add);
 
 }  // namespace parse
 

@@ -19,7 +19,6 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
-#include "mpc/io_faults.hpp"
 #include "mpc/shard_format.hpp"
 #include "mpc/storage.hpp"
 #include "obs/metrics_registry.hpp"
@@ -444,10 +443,10 @@ TEST(DeterminismMatrix, StorageAxis) {
 //
 // The storage recovery ladder (docs/STORAGE.md, "Integrity & degraded
 // mode") extends the matrix once more: for a fixed shard directory, any
-// admissible IoFaultPlan whose events resolve within the retry/quarantine
-// budget must leave solutions, reports (modulo the recovery ledger),
-// traces, and the golden registry section byte-identical to the fault-free
-// open, crossed with thread counts.
+// admissible plan of I/O fault events that resolve within the
+// retry/quarantine budget must leave solutions, reports (modulo the
+// recovery ledger), traces, and the golden registry section byte-identical
+// to the fault-free open, crossed with thread counts.
 
 struct IoFaultRun {
   std::vector<bool> in_set;
@@ -496,17 +495,17 @@ TEST(DeterminismMatrix, IoFaultAxis) {
   // Transient open-time failures, an injected checksum flip that heals on
   // retry, and persistent verify-time corruption that forces a quarantine
   // re-read — all within the default RecoveryOptions budget.
-  mpc::IoFaultPlan transient;
+  mpc::FaultPlan transient;
   transient.add({mpc::IoFaultKind::kEio, /*shard=*/0, mpc::kAccessOpen,
                  /*delay=*/1, /*attempts=*/2});
   transient.add({mpc::IoFaultKind::kShortRead, /*shard=*/1, mpc::kAccessOpen,
                  /*delay=*/1, /*attempts=*/1});
   transient.add({mpc::IoFaultKind::kSlow, /*shard=*/0, mpc::kAccessVerify,
                  /*delay=*/3, /*attempts=*/1});
-  mpc::IoFaultPlan heal;
+  mpc::FaultPlan heal;
   heal.add({mpc::IoFaultKind::kCorrupt, /*shard=*/0, mpc::kAccessVerify,
             /*delay=*/1, /*attempts=*/1});
-  mpc::IoFaultPlan quarantine;
+  mpc::FaultPlan quarantine;
   quarantine.add({mpc::IoFaultKind::kCorrupt, /*shard=*/1, mpc::kAccessVerify,
                   /*delay=*/1, /*attempts=*/4});
 
@@ -517,7 +516,7 @@ TEST(DeterminismMatrix, IoFaultAxis) {
 
   const struct {
     const char* name;
-    const mpc::IoFaultPlan* plan;
+    const mpc::FaultPlan* plan;
   } axes[] = {{"none", nullptr},
               {"transient", &transient},
               {"heal", &heal},
@@ -529,7 +528,7 @@ TEST(DeterminismMatrix, IoFaultAxis) {
       // access ordinals, so the recovery ladder runs in every cell.
       const auto storage = mpc::MmapShardStorage::open(
           shard_dir, {}, mpc::VerifyMode::kOpen,
-          axis.plan != nullptr ? *axis.plan : mpc::IoFaultPlan{});
+          axis.plan != nullptr ? *axis.plan : mpc::FaultPlan{});
       if (axis.plan != nullptr) {
         EXPECT_GT(storage->io_recovery().io_faults_injected, 0u)
             << "io_faults=" << axis.name << " threads=" << threads
@@ -643,9 +642,9 @@ TEST(DeterminismMatrix, EventsAxisStorage) {
   const std::string shard_dir = (dir / "shards").string();
   mpc::shard_build(edge_path, shard_dir, small);
 
-  // An io-fault plan whose events heal within budget: the storage rungs land
+  // An I/O fault plan whose events heal within budget: the storage rungs land
   // in the recovery section, so the model projection must not move.
-  mpc::IoFaultPlan heal;
+  mpc::FaultPlan heal;
   heal.add({mpc::IoFaultKind::kEio, /*shard=*/0, mpc::kAccessOpen,
             /*delay=*/1, /*attempts=*/2});
 
@@ -662,7 +661,7 @@ TEST(DeterminismMatrix, EventsAxisStorage) {
       if (std::string(cell.name) != "memory") {
         owned = mpc::MmapShardStorage::open(
             shard_dir, {}, mpc::VerifyMode::kOpen,
-            cell.io_faults ? heal : mpc::IoFaultPlan{});
+            cell.io_faults ? heal : mpc::FaultPlan{});
         storage = owned.get();
       }
       const auto run =

@@ -18,6 +18,7 @@
 #include "mpc/cluster.hpp"
 #include "mpc/faults.hpp"
 #include "mpc/primitives.hpp"
+#include "obs/events.hpp"
 #include "obs/sinks.hpp"
 #include "obs/trace.hpp"
 #include "support/parse_error.hpp"
@@ -33,6 +34,7 @@ using mpc::FaultEvent;
 using mpc::FaultKind;
 using mpc::FaultPlan;
 using mpc::RecoveryOptions;
+using mpc::RecoveryStats;
 using mpc::Word;
 
 // ---- FaultPlan: plain data ----
@@ -268,21 +270,25 @@ TEST(FaultRecovery, PhaseCheckpointingReplaysFurtherBack) {
   RecoveryOptions round_ckpt;  // default kRound
   Cluster a = small_cluster(plan, round_ckpt);
   a.load({{1}, {}, {}, {}});
-  a.mark_phase("test/phase");
-  for (int i = 0; i < 3; ++i) sum_step(a);
+  {
+    const obs::Span span = a.phase("test/phase", 0);
+    for (int i = 0; i < 3; ++i) sum_step(a);
+  }
 
   RecoveryOptions phase_ckpt;
   phase_ckpt.checkpoint = CheckpointMode::kPhase;
   Cluster b = small_cluster(plan, phase_ckpt);
   b.load({{1}, {}, {}, {}});
-  b.mark_phase("test/phase");
-  for (int i = 0; i < 3; ++i) sum_step(b);
+  {
+    const obs::Span span = b.phase("test/phase", 0);
+    for (int i = 0; i < 3; ++i) sum_step(b);
+  }
 
   // Same fault, but the phase-granular replay rolls back from round 2 to
-  // the mark at round 0, so it re-executes strictly more rounds.
+  // the phase opened at round 0, so it re-executes strictly more rounds.
   EXPECT_GT(b.recovery_stats().replayed_rounds,
             a.recovery_stats().replayed_rounds);
-  // Phase mode charges the one mark_phase snapshot; round mode charges one
+  // Phase mode charges the one phase snapshot; round mode charges one
   // snapshot per superstep.
   EXPECT_EQ(b.recovery_stats().checkpoints, 1u);
   EXPECT_EQ(a.recovery_stats().checkpoints, 3u);
@@ -458,30 +464,71 @@ TEST(FaultSolverApi, ReportCarriesSchemaVersionAndRecovery) {
   EXPECT_NE(json.find("\"mpc/rounds\""), std::string::npos) << json;
 }
 
-TEST(FaultSolverApi, TraceRecoveryEventsAreOptIn) {
-  // Golden traces stay identical because recovery instants are off by
-  // default; turning them on is the observability hook.
+TEST(FaultSolverApi, RecoveryIsObservedInTheEventStream) {
+  // Recovery has one observation path: the event stream's recovery section.
+  // The trace of a faulted solve carries no recovery names, so golden traces
+  // stay identical to the fault-free run.
   const auto g = graph::gnm(200, 1600, 10);
+  std::ostringstream trace;
+  obs::JsonlTraceSink sink(&trace, /*include_wall_time=*/false);
+  obs::TraceSession session(&sink);
+  obs::CollectorEventSink collector;
+  obs::EventBus bus;
+  ASSERT_TRUE(bus.subscribe(&collector));
   SolveOptions options;
   options.faults.add({FaultKind::kCrash, /*round=*/2, /*machine=*/0});
+  options.trace = &session;
+  options.events = &bus;
+  const auto solution = Solver(options).mis(g);
+  session.finish();
 
-  auto trace_of = [&](bool trace_recovery) {
-    std::ostringstream out;
-    obs::JsonlTraceSink sink(&out, /*include_wall_time=*/false);
-    obs::TraceSession session(&sink);
-    auto local = options;
-    local.trace = &session;
-    local.recovery.trace_recovery = trace_recovery;
-    Solver(local).mis(g);
-    session.finish();
-    return out.str();
-  };
+  std::uint64_t checkpoints = 0;
+  std::uint64_t attempts = 0;
+  std::uint64_t recovered = 0;
+  for (const obs::ProgressEvent& e : collector.events()) {
+    checkpoints += e.type == obs::EventType::kCheckpointTaken;
+    attempts += e.type == obs::EventType::kRecoveryAttempt;
+    recovered += e.type == obs::EventType::kRecovered;
+  }
+  EXPECT_EQ(checkpoints, solution.report.recovery.checkpoints);
+  EXPECT_GT(checkpoints, 0u);
+  EXPECT_EQ(attempts, solution.report.recovery.retries);
+  EXPECT_GT(attempts, 0u);
+  EXPECT_GT(recovered, 0u);
+  EXPECT_EQ(trace.str().find("recovery/"), std::string::npos);
+}
 
-  const std::string quiet = trace_of(false);
-  const std::string chatty = trace_of(true);
-  EXPECT_EQ(quiet.find("recovery/retry"), std::string::npos);
-  EXPECT_NE(chatty.find("recovery/retry"), std::string::npos);
-  EXPECT_NE(chatty.find("recovery/checkpoint"), std::string::npos);
+// Under kPhase every checkpoint is taken where a phase opens, and every
+// phase opens a span named */phase/* or */stage.
+template <typename Solve>
+void expect_one_checkpoint_per_phase_span(const Solve& solve) {
+  obs::CollectorSink sink;
+  obs::TraceSession session(&sink);
+  SolveOptions options;
+  options.faults.add({FaultKind::kCrash, /*round=*/2, /*machine=*/0});
+  options.recovery.checkpoint = CheckpointMode::kPhase;
+  options.trace = &session;
+  const RecoveryStats recovery = solve(Solver(options));
+  session.finish();
+  std::uint64_t phase_spans = 0;
+  for (const obs::TraceEvent& e : sink.events()) {
+    const std::string& name = e.name;
+    const bool phase_name = name.find("/phase/") != std::string::npos ||
+                            (name.size() > 6 && name.ends_with("/stage"));
+    phase_spans += e.kind == obs::EventKind::kSpanBegin && phase_name;
+  }
+  EXPECT_GT(phase_spans, 0u);
+  EXPECT_EQ(recovery.checkpoints, phase_spans);
+  EXPECT_GT(recovery.retries, 0u);
+}
+
+TEST(FaultSolverApi, PhaseCheckpointsMatchPhaseSpans) {
+  const auto g = graph::gnm(300, 2400, 7);
+  expect_one_checkpoint_per_phase_span(
+      [&](const Solver& solver) { return solver.mis(g).report.recovery; });
+  expect_one_checkpoint_per_phase_span([&](const Solver& solver) {
+    return solver.maximal_matching(g).report.recovery;
+  });
 }
 
 }  // namespace

@@ -22,7 +22,6 @@
 #include "graph/graph.hpp"
 #include "graph/graph_stats.hpp"
 #include "graph/io.hpp"
-#include "mpc/io_faults.hpp"
 #include "mpc/shard_format.hpp"
 #include "mpc/storage.hpp"
 #include "mpc/storage_error.hpp"
@@ -542,7 +541,7 @@ TEST(StorageIntegrity, TransientInjectedFaultsRecoverIdentically) {
   build_shards(dir);
   const auto clean = MmapShardStorage::open(dir.str("shards"));
 
-  IoFaultPlan plan;
+  FaultPlan plan;
   plan.add({IoFaultKind::kEio, /*shard=*/0, kAccessOpen, /*delay=*/1,
             /*attempts=*/2});
   plan.add({IoFaultKind::kShortRead, /*shard=*/1, kAccessOpen, /*delay=*/1,
@@ -566,7 +565,7 @@ TEST(StorageIntegrity, TransientInjectedFaultsRecoverIdentically) {
 TEST(StorageIntegrity, InjectedCorruptionHealsOnRetry) {
   TempDir dir("dmpc_integrity_heal");
   build_shards(dir);
-  IoFaultPlan plan;
+  FaultPlan plan;
   plan.add({IoFaultKind::kCorrupt, /*shard=*/0, kAccessVerify, /*delay=*/1,
             /*attempts=*/1});
   const auto storage =
@@ -585,7 +584,7 @@ TEST(StorageIntegrity, PersistentInjectedCorruptionQuarantines) {
   // attempt (initial + max_retries retries = 4 with the default budget),
   // but the quarantine re-read (a different access ordinal) is clean: the
   // ladder must fall through to the heap copy and then verify it.
-  IoFaultPlan plan;
+  FaultPlan plan;
   plan.add({IoFaultKind::kCorrupt, /*shard=*/0, kAccessVerify, /*delay=*/1,
             /*attempts=*/4});
   const auto storage =
@@ -605,7 +604,7 @@ TEST(StorageIntegrity, PersistentInjectedCorruptionQuarantines) {
 TEST(StorageIntegrity, FallbackDegradesToMemoryBackend) {
   TempDir dir("dmpc_integrity_fallback");
   const Graph g = build_shards(dir);
-  IoFaultPlan plan;
+  FaultPlan plan;
   plan.add({IoFaultKind::kMapFail, /*shard=*/0, kAccessOpen, /*delay=*/1,
             /*attempts=*/mpc::RecoveryOptions::kMaxRetries + 1});
 
@@ -701,7 +700,7 @@ TEST(StorageIntegrity, CrashedBuilderLeavesNoOpenableDirectory) {
   }
 }
 
-TEST(IoFaultPlanText, ParsePrintRoundTrip) {
+TEST(FaultPlanIoText, ParsePrintRoundTrip) {
   const std::string text =
       "# storage chaos schedule\n"
       "eio shard=0 access=0 attempts=2\n"
@@ -709,23 +708,24 @@ TEST(IoFaultPlanText, ParsePrintRoundTrip) {
       "slow shard=2 access=1 delay=5\n"
       "corrupt shard=manifest access=1\n"
       "map_fail shard=3 access=0 attempts=4\n";
-  const IoFaultPlan plan = IoFaultPlan::parse(text);
-  ASSERT_EQ(plan.events().size(), 5u);
-  EXPECT_EQ(plan.events()[0].kind, IoFaultKind::kEio);
-  EXPECT_EQ(plan.events()[0].attempts, 2u);
-  EXPECT_EQ(plan.events()[2].delay, 5u);
-  EXPECT_EQ(plan.events()[3].shard, kManifestShard);
+  const FaultPlan plan = FaultPlan::parse(text);
+  ASSERT_EQ(plan.io_events().size(), 5u);
+  EXPECT_EQ(plan.io_events()[0].kind, IoFaultKind::kEio);
+  EXPECT_EQ(plan.io_events()[0].attempts, 2u);
+  EXPECT_EQ(plan.io_events()[2].delay, 5u);
+  EXPECT_EQ(plan.io_events()[3].shard, kManifestShard);
   EXPECT_TRUE(plan.check().empty());
   // The printed form re-parses to the same plan.
-  const IoFaultPlan reparsed = IoFaultPlan::parse(plan.to_string());
+  const FaultPlan reparsed = FaultPlan::parse(plan.to_string());
   EXPECT_EQ(reparsed.to_string(), plan.to_string());
-  ASSERT_EQ(reparsed.events().size(), plan.events().size());
+  ASSERT_EQ(reparsed.io_events().size(), plan.io_events().size());
+  EXPECT_TRUE(reparsed.events().empty());
 }
 
-TEST(IoFaultPlanText, RejectsMalformedLines) {
+TEST(FaultPlanIoText, RejectsMalformedLines) {
   const auto code = [](const std::string& text) -> std::string {
     try {
-      IoFaultPlan::parse(text);
+      FaultPlan::parse(text);
     } catch (const ParseError& e) {
       return parse_error_code_name(e.code());
     }
@@ -739,6 +739,27 @@ TEST(IoFaultPlanText, RejectsMalformedLines) {
   EXPECT_EQ(code("eio shard=0 access=0 attempts=999\n"), "out_of_range");
   EXPECT_EQ(code("slow shard=0 delay=0\n"), "out_of_range");
   EXPECT_EQ(code("eio access=0\n"), "");  // shard defaults to 0: admissible
+  // Each kind accepts only the keys of its own key space.
+  EXPECT_EQ(code("eio round=1\n"), "bad_token");
+  EXPECT_EQ(code("crash shard=0\n"), "bad_token");
+}
+
+TEST(StorageIntegrity, OnePlanInjectsModelAndIoFaults) {
+  TempDir dir("dmpc_integrity_mixed_plan");
+  const Graph g = build_shards(dir);
+  SolveOptions options;
+  options.storage.backend = StorageBackend::kMmap;
+  options.storage.shard_dir = dir.str("shards");
+  options.faults.add(FaultEvent{FaultKind::kCrash, /*round=*/2,
+                                /*machine=*/0});
+  options.faults.add(IoFaultEvent{IoFaultKind::kEio, /*shard=*/0, kAccessOpen,
+                                  /*delay=*/1, /*attempts=*/2});
+  const Solver solver(options);
+  const auto storage = solver.open_storage("");
+  const auto solution = solver.mis(*storage);
+  EXPECT_EQ(solution.in_set, Solver().mis(g).in_set);
+  EXPECT_GT(solution.report.recovery.crashes, 0u);
+  EXPECT_GT(solution.report.recovery.storage.io_faults_injected, 0u);
 }
 
 TEST(StorageIntegrity, NamesAreStable) {

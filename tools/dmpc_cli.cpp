@@ -9,7 +9,7 @@
 //                 [--certify=off|answer|full] [--metrics-out=metrics.json]
 //                 [--profile] [--storage=memory|mmap] [--shard-dir=dir]
 //                 [--storage-verify=off|open|paranoid]
-//                 [--storage-fallback=none|memory] [--io-fault-plan=plan.txt]
+//                 [--storage-fallback=none|memory]
 //                 [--events=events.jsonl] [--events-filter=round,recovery,...]
 //                 [--progress] [--metrics-format=json|openmetrics]
 //                 [--host-sample-ms=100]
@@ -17,7 +17,7 @@
 //                 [--trace=...] [--trace-format=...] [--fault-plan=...]
 //                 [--certify=...] [--metrics-out=...] [--profile]
 //                 [--storage=...] [--shard-dir=...] [--storage-verify=...]
-//                 [--storage-fallback=...] [--io-fault-plan=...]
+//                 [--storage-fallback=...]
 //                 [--events=...] [--events-filter=...] [--progress]
 //                 [--metrics-format=...] [--host-sample-ms=...]
 //   dmpc cover    --in=g.txt [--out=cover.txt]
@@ -25,8 +25,11 @@
 //
 // --threads=N uses N host threads for local computation (0 = hardware
 // concurrency); outputs are byte-identical for every value. --fault-plan
-// injects a deterministic fault schedule (docs/FAULTS.md) recovered via
-// checkpoint/replay; solutions are byte-identical to the fault-free run.
+// injects a deterministic fault schedule (docs/FAULTS.md): its model events
+// (crash, drop, duplicate, straggler) are recovered via checkpoint/replay,
+// its host-I/O events (short_read, eio, corrupt, map_fail, slow) by the
+// storage layer's retry/quarantine ladder; solutions are byte-identical to
+// the fault-free run for any plan within budget.
 // --certify runs checked mode (docs/ROBUSTNESS.md): the answer is verified
 // before it is reported, a one-line certificate verdict is printed, and a
 // failed certificate exits 3. --profile records the per-round load-skew
@@ -38,9 +41,7 @@
 // --storage-verify re-computes the manifest's shard CRC64s (open: once at
 // open; paranoid: again when the solve attaches); a mismatch that survives
 // the retry/quarantine ladder exits 2, or degrades to the in-memory backend
-// under --storage-fallback=memory. --io-fault-plan injects a deterministic
-// host-I/O fault schedule into the storage layer (docs/FAULTS.md); solutions
-// are byte-identical to the fault-free run for any plan within budget.
+// under --storage-fallback=memory.
 // --events streams typed JSONL progress events (docs/OBSERVABILITY.md,
 // "Live telemetry"); --events-filter narrows categories, --progress mirrors
 // lifecycle events as a throttled stderr line, and the report gains an
@@ -153,25 +154,6 @@ dmpc::CliSolveOptions solve_options(const dmpc::ArgParser& args) {
       throw dmpc::OptionsError(
           dmpc::Status::error(dmpc::StatusCode::kInvalidFaultPlan,
                               cli.fault_plan_path + ": " + e.what()));
-    }
-  }
-  if (!cli.io_fault_plan_path.empty()) {
-    errno = 0;
-    std::ifstream in(cli.io_fault_plan_path);
-    if (!in.good()) {
-      throw dmpc::ParseError(
-          dmpc::ParseErrorCode::kIoError,
-          "cannot open io fault plan '" + cli.io_fault_plan_path +
-              "': " + (errno != 0 ? std::strerror(errno) : "unknown error"));
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    try {
-      cli.options.io_faults = dmpc::mpc::IoFaultPlan::parse(text.str());
-    } catch (const dmpc::ParseError& e) {
-      throw dmpc::OptionsError(
-          dmpc::Status::error(dmpc::StatusCode::kInvalidIoFaultPlan,
-                              cli.io_fault_plan_path + ": " + e.what()));
     }
   }
   return cli;

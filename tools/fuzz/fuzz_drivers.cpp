@@ -8,7 +8,6 @@
 #include "api/status.hpp"
 #include "graph/io.hpp"
 #include "mpc/faults.hpp"
-#include "mpc/io_faults.hpp"
 #include "mpc/shard_format.hpp"
 #include "obs/events.hpp"
 #include "support/options.hpp"
@@ -60,8 +59,17 @@ int drive_fault_plan(const std::uint8_t* data, std::size_t size) {
   const std::string text(reinterpret_cast<const char*>(data), size);
   try {
     const mpc::FaultPlan plan = mpc::FaultPlan::parse(text);
-    // An accepted plan must be internally consistent.
+    // An accepted plan must be internally consistent, and its printed form
+    // must re-parse to the same plan (print/parse is the identity on
+    // admissible plans — the CLI round-trips --fault-plan files).
     if (!plan.check().empty()) __builtin_trap();
+    const std::string printed = plan.to_string();
+    const mpc::FaultPlan back = mpc::FaultPlan::parse(printed);
+    if (back.events().size() != plan.events().size() ||
+        back.io_events().size() != plan.io_events().size()) {
+      __builtin_trap();
+    }
+    if (back.to_string() != printed) __builtin_trap();
   } catch (const ParseError&) {
   }
   return 0;
@@ -116,23 +124,6 @@ int drive_shard_header(const std::uint8_t* data, std::size_t size) {
     for (std::size_t i = 0; i < back.shards.size(); ++i) {
       if (back.shards[i].crc64 != manifest.shards[i].crc64) __builtin_trap();
     }
-  } catch (const ParseError&) {
-  }
-  return 0;
-}
-
-int drive_io_fault_plan(const std::uint8_t* data, std::size_t size) {
-  const std::string text(reinterpret_cast<const char*>(data), size);
-  try {
-    const mpc::IoFaultPlan plan = mpc::IoFaultPlan::parse(text);
-    // An accepted plan must be internally consistent, and its printed form
-    // must re-parse to the same plan (print/parse is the identity on
-    // admissible plans — the CLI round-trips --io-fault-plan files).
-    if (!plan.check().empty()) __builtin_trap();
-    const std::string printed = plan.to_string();
-    const mpc::IoFaultPlan back = mpc::IoFaultPlan::parse(printed);
-    if (back.events().size() != plan.events().size()) __builtin_trap();
-    if (back.to_string() != printed) __builtin_trap();
   } catch (const ParseError&) {
   }
   return 0;

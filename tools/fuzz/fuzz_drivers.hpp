@@ -20,7 +20,8 @@ namespace dmpc::fuzz {
 /// policies, plus a write/re-read round trip on accepted graphs.
 int drive_edge_list(const std::uint8_t* data, std::size_t size);
 
-/// mpc::FaultPlan::parse (the throwing overload).
+/// mpc::FaultPlan::parse (the throwing overload), both key spaces, with a
+/// print/re-parse round trip on admissible plans.
 int drive_fault_plan(const std::uint8_t* data, std::size_t size);
 
 /// Newline-split argv through ArgParser + parse_solve_options, i.e. the
@@ -31,10 +32,6 @@ int drive_cli_args(const std::uint8_t* data, std::size_t size);
 /// validator of the dshard storage format, v1 and checksummed v2), with an
 /// encode/re-parse round trip on accepted manifests.
 int drive_shard_header(const std::uint8_t* data, std::size_t size);
-
-/// mpc::IoFaultPlan::parse (the throwing overload), with a print/re-parse
-/// round trip on admissible plans.
-int drive_io_fault_plan(const std::uint8_t* data, std::size_t size);
 
 /// obs::parse_event_filter (the --events-filter grammar), with a
 /// to_string/re-parse round trip on accepted filters.

@@ -3,12 +3,11 @@
 //   replay_corpus <corpus-root>
 //
 // <corpus-root> contains one subdirectory per target (edge_list/,
-// fault_plan/, cli_args/, shard_header/, io_fault_plan/, event_filter/);
-// every regular
-// file inside is fed to the matching driver. Runs as a plain ctest test in every build (no fuzzer runtime
-// needed), so crashes found by fuzzing and checked into the corpus stay
-// fixed. Exits non-zero if a directory is missing/empty or a driver lets an
-// untyped error escape.
+// fault_plan/, cli_args/, shard_header/, event_filter/); every regular
+// file inside is fed to the matching driver. Runs as a plain ctest test in
+// every build (no fuzzer runtime needed), so crashes found by fuzzing and
+// checked into the corpus stay fixed. Exits non-zero if a directory is
+// missing/empty or a driver lets an untyped error escape.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -73,7 +72,6 @@ int main(int argc, char** argv) {
   rc |= replay_dir(root / "fault_plan", &dmpc::fuzz::drive_fault_plan);
   rc |= replay_dir(root / "cli_args", &dmpc::fuzz::drive_cli_args);
   rc |= replay_dir(root / "shard_header", &dmpc::fuzz::drive_shard_header);
-  rc |= replay_dir(root / "io_fault_plan", &dmpc::fuzz::drive_io_fault_plan);
   rc |= replay_dir(root / "event_filter", &dmpc::fuzz::drive_event_filter);
   return rc;
 }
