@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "support/check.hpp"
@@ -16,25 +18,46 @@ Graph gnm(NodeId n, EdgeId m, std::uint64_t seed) {
   const EdgeId max_edges = static_cast<EdgeId>(n) * (n - 1) / 2;
   DMPC_CHECK_MSG(m <= max_edges, "too many edges requested");
   Rng rng(seed);
-  std::set<std::pair<NodeId, NodeId>> chosen;
   // For sparse requests, rejection-sample; for dense (> half of all pairs),
-  // sample the complement instead so the loop stays linear-ish.
+  // sample the complement instead so the loop stays linear-ish. `chosen`
+  // holds sorted, distinct u << 32 | v keys (u < v). Each batch draws
+  // exactly as many non-loop pairs as are still missing, so no batch can
+  // pass the point where one-pair-at-a-time sampling would stop: the result
+  // and the random stream consumed are those of the sequential loop.
   const bool dense = m > max_edges / 2;
   const EdgeId target = dense ? max_edges - m : m;
+  std::vector<std::uint64_t> chosen;
+  std::vector<std::uint64_t> batch;
   while (chosen.size() < target) {
-    auto u = static_cast<NodeId>(rng.next_below(n));
-    auto v = static_cast<NodeId>(rng.next_below(n));
-    if (u == v) continue;
-    if (u > v) std::swap(u, v);
-    chosen.insert({u, v});
+    batch.clear();
+    while (batch.size() < target - chosen.size()) {
+      auto u = static_cast<NodeId>(rng.next_below(n));
+      auto v = static_cast<NodeId>(rng.next_below(n));
+      if (u == v) continue;
+      if (u > v) std::swap(u, v);
+      batch.push_back(static_cast<std::uint64_t>(u) << 32 | v);
+    }
+    std::sort(batch.begin(), batch.end());
+    const auto mid = static_cast<std::ptrdiff_t>(chosen.size());
+    chosen.insert(chosen.end(), batch.begin(), batch.end());
+    std::inplace_merge(chosen.begin(), chosen.begin() + mid, chosen.end());
+    chosen.erase(std::unique(chosen.begin(), chosen.end()), chosen.end());
   }
   GraphBuilder b(n);
   if (!dense) {
-    for (auto [u, v] : chosen) b.add_edge(u, v);
+    for (std::uint64_t key : chosen) {
+      b.add_edge(static_cast<NodeId>(key >> 32), static_cast<NodeId>(key));
+    }
   } else {
+    auto skip = chosen.begin();
     for (NodeId u = 0; u < n; ++u) {
       for (NodeId v = u + 1; v < n; ++v) {
-        if (!chosen.count({u, v})) b.add_edge(u, v);
+        if (skip != chosen.end() &&
+            *skip == (static_cast<std::uint64_t>(u) << 32 | v)) {
+          ++skip;
+        } else {
+          b.add_edge(u, v);
+        }
       }
     }
   }

@@ -39,7 +39,8 @@ Graph Graph::from_edges(NodeId n, std::vector<Edge> edges,
   // Validation and canonicalization touch each edge independently; the
   // lowest-index failure is rethrown, so error behavior matches the serial
   // scan. parallel_sort's output permutation depends only on the data (here
-  // a total order, so it equals std::sort's).
+  // a total order, so it equals std::sort's); already sorted input (the
+  // text reader's, the generators') skips it.
   ex.for_each(
       0, edges.size(),
       [&](std::uint64_t i) {
@@ -49,7 +50,9 @@ Graph Graph::from_edges(NodeId n, std::vector<Edge> edges,
         if (e.u > e.v) std::swap(e.u, e.v);
       },
       4096);
-  exec::parallel_sort(ex, edges);
+  if (!std::is_sorted(edges.begin(), edges.end())) {
+    exec::parallel_sort(ex, edges);
+  }
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
 
   auto csr = std::make_shared<HeapCsr>();

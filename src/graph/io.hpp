@@ -11,6 +11,7 @@
 // always bounded by the bytes actually read, not by what the header claims.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -50,6 +51,11 @@ struct EdgeListHeader {
   std::uint64_t declared_m = 0;
 };
 
+/// Bytes scan_edge_list pulls from the stream per read. Its buffer holds at
+/// most one block plus one partial line of at most `max_line_bytes`, so a
+/// newline-free input is rejected after about one block, not buffered whole.
+inline constexpr std::size_t kEdgeListBlockBytes = std::size_t{1} << 16;
+
 /// Streaming scan of a text edge list: the same hardened parse (header and
 /// line validation, caps, out-of-range and self-loop rejection, count
 /// checks, typed errors) as read_edge_list, but delivering callbacks instead
@@ -59,8 +65,8 @@ struct EdgeListHeader {
 /// range-checked, u != v unless a kDedupe self-loop was dropped before the
 /// call). Duplicate-edge detection is NOT performed here — it needs
 /// per-node state; callers wanting kReject semantics detect duplicates
-/// downstream (read_edge_list via a hash set, shard_build at shard
-/// finalization).
+/// downstream (read_edge_list by sorting the scanned edges, shard_build at
+/// shard finalization).
 void scan_edge_list(
     std::istream& in, const EdgeListLimits& limits,
     const std::function<void(const EdgeListHeader&)>& on_header,

@@ -7,6 +7,7 @@
 // {1, 2, hardware}.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -24,6 +25,7 @@
 #include "obs/metrics_registry.hpp"
 #include "obs/sinks.hpp"
 #include "obs/trace.hpp"
+#include "support/rng.hpp"
 
 namespace dmpc {
 namespace {
@@ -437,6 +439,74 @@ TEST(DeterminismMatrix, StorageAxis) {
     }
   }
   fs::remove_all(dir);
+}
+
+// ---- Input order axis ----
+//
+// The answer is a function of the edge *set*: an edge list whose data lines
+// are shuffled, whose endpoints are swapped on every other line, or which
+// repeats edges read under kDedupe must parse to the same Graph and give
+// byte-identical solutions, reports, traces and registry sections.
+
+TEST(DeterminismMatrix, InputOrderAxis) {
+  const Graph g = graph::gnm(600, 4800, 11);
+  std::ostringstream text;
+  graph::write_edge_list(g, text);
+  std::vector<std::string> lines;
+  {
+    std::istringstream in(text.str());
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  const std::string header = lines.front();
+  lines.erase(lines.begin());
+
+  const auto join = [&](const std::vector<std::string>& data,
+                        const std::string& head) {
+    std::string out = head + "\n";
+    for (const std::string& line : data) out += line + "\n";
+    return out;
+  };
+  Rng rng(17);
+  std::vector<std::string> shuffled = lines;
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  std::vector<std::string> swapped = lines;
+  for (std::size_t i = 0; i < swapped.size(); i += 2) {
+    const std::size_t space = swapped[i].find(' ');
+    swapped[i] = swapped[i].substr(space + 1) + " " +
+                 swapped[i].substr(0, space);
+  }
+  std::vector<std::string> repeated = shuffled;
+  for (std::size_t i = 0; i < lines.size(); i += 3) {
+    repeated.push_back(swapped[i]);
+  }
+  graph::EdgeListLimits dedupe;
+  dedupe.duplicates = graph::DuplicatePolicy::kDedupe;
+  dedupe.check_edge_count = false;
+
+  const struct {
+    const char* name;
+    std::string text;
+    graph::EdgeListLimits limits;
+  } variants[] = {{"shuffled", join(shuffled, header), {}},
+                  {"swapped", join(swapped, header), {}},
+                  {"repeated+dedupe", join(repeated, header), dedupe}};
+  const auto reference = run_all(g, /*threads=*/1);
+  for (const auto& variant : variants) {
+    std::istringstream in(variant.text);
+    const Graph h = graph::read_edge_list(in, variant.limits);
+    EXPECT_EQ(h.num_nodes(), g.num_nodes()) << variant.name;
+    EXPECT_EQ(h.edges(), g.edges()) << variant.name;
+    const auto run = run_all(h, /*threads=*/1);
+    EXPECT_EQ(run.mis_in_set, reference.mis_in_set) << variant.name;
+    EXPECT_EQ(run.mis_report_json, reference.mis_report_json) << variant.name;
+    EXPECT_EQ(run.mis_trace, reference.mis_trace) << variant.name;
+    EXPECT_EQ(run.mis_registry_json, reference.mis_registry_json)
+        << variant.name;
+    EXPECT_EQ(run.matching, reference.matching) << variant.name;
+    EXPECT_EQ(run.matching_report_json, reference.matching_report_json)
+        << variant.name;
+    EXPECT_EQ(run.matching_trace, reference.matching_trace) << variant.name;
+  }
 }
 
 // ---- I/O fault axis ----

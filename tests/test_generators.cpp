@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 namespace dmpc::graph {
 namespace {
@@ -28,6 +32,46 @@ TEST(Gnm, FullCliqueAndDeterminism) {
   EXPECT_EQ(a.edges(), b.edges());
   const Graph c = gnm(50, 200, 8);
   EXPECT_NE(a.edges(), c.edges());
+}
+
+/// gnm as a one-pair-at-a-time std::set rejection loop: the batched
+/// generator must stop at exactly this edge set.
+std::vector<Edge> gnm_reference(NodeId n, EdgeId m, std::uint64_t seed) {
+  const EdgeId max_edges = static_cast<EdgeId>(n) * (n - 1) / 2;
+  const bool dense = m > max_edges / 2;
+  const EdgeId target = dense ? max_edges - m : m;
+  Rng rng(seed);
+  std::set<std::pair<NodeId, NodeId>> chosen;
+  while (chosen.size() < target) {
+    auto u = static_cast<NodeId>(rng.next_below(n));
+    auto v = static_cast<NodeId>(rng.next_below(n));
+    if (u == v) continue;
+    if (u > v) std::swap(u, v);
+    chosen.insert({u, v});
+  }
+  std::vector<Edge> edges;
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = u + 1; v < n; ++v) {
+      if ((chosen.count({u, v}) != 0) != dense) edges.push_back({u, v});
+    }
+  }
+  return edges;
+}
+
+TEST(Gnm, MatchesSequentialSetReference) {
+  struct Case {
+    NodeId n;
+    EdgeId m;
+  };
+  // Sparse (rejection) and dense (complement) branches, and the boundary.
+  const Case cases[] = {{300, 2000}, {1000, 16000}, {64, 1500},
+                        {40, 700},   {40, 390},     {40, 391}};
+  for (const Case& c : cases) {
+    for (std::uint64_t seed : {1u, 3u, 4u, 5u, 11u}) {
+      EXPECT_EQ(gnm(c.n, c.m, seed).edges(), gnm_reference(c.n, c.m, seed))
+          << "n=" << c.n << " m=" << c.m << " seed=" << seed;
+    }
+  }
 }
 
 TEST(Gnm, RejectsTooManyEdges) {

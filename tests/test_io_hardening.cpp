@@ -3,9 +3,13 @@
 // failure, never a silent misread (docs/ROBUSTNESS.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <istream>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <utility>
 
 #include "graph/io.hpp"
 #include "support/options.hpp"
@@ -159,6 +163,75 @@ TEST(IoHardening, OversizedLineIsCappedWithoutReadingIt) {
   const ParseError e = capture("3 1\n" + long_line + " 2\n", limits);
   EXPECT_EQ(e.code(), ParseErrorCode::kLimitExceeded);
   EXPECT_EQ(e.line(), 2u);
+}
+
+/// A header line followed by one endless newline-free line of digits,
+/// served in 4 KiB chunks; counts the bytes the reader pulls.
+class LongLineSource : public std::streambuf {
+ public:
+  LongLineSource(std::string header, std::uint64_t line_bytes)
+      : header_(std::move(header)), total_(header_.size() + line_bytes) {}
+  std::uint64_t pulled() const { return pulled_; }
+
+ protected:
+  int_type underflow() override {
+    if (pulled_ == total_) return traits_type::eof();
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(sizeof(chunk_), total_ - pulled_));
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t at = pulled_ + i;
+      chunk_[i] = at < header_.size() ? header_[at] : '1';
+    }
+    pulled_ += n;
+    setg(chunk_, chunk_, chunk_ + n);
+    return traits_type::to_int_type(chunk_[0]);
+  }
+
+ private:
+  std::string header_;
+  std::uint64_t total_;
+  std::uint64_t pulled_ = 0;
+  char chunk_[4096];
+};
+
+TEST(IoHardening, OverlongLineIsRejectedAfterAtMostOneBlock) {
+  // Buffering the whole line before checking the cap would pull 64 MiB
+  // here; the scanner stops once its unfinished line passes the cap.
+  LongLineSource source("3 1\n", std::uint64_t{1} << 26);
+  std::istream in(&source);
+  EdgeListLimits limits;
+  limits.max_line_bytes = 16;
+  try {
+    graph::read_edge_list(in, limits);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.code(), ParseErrorCode::kLimitExceeded);
+    EXPECT_EQ(e.line(), 2u);
+  }
+  EXPECT_LE(source.pulled(),
+            graph::kEdgeListBlockBytes + limits.max_line_bytes);
+}
+
+TEST(IoHardening, FirstErrorInFileOrderWinsOverLaterDuplicates) {
+  // The reported duplicate is the one whose *second* occurrence comes
+  // first ({2,3} at line 4), not the smallest edge ({0,1}, line 5).
+  ParseError e = capture("5 4\n0 1\n2 3\n3 2\n1 0\n");
+  EXPECT_EQ(e.code(), ParseErrorCode::kDuplicateEdge);
+  EXPECT_EQ(e.line(), 4u);
+  EXPECT_EQ(e.message(), "duplicate edge {2, 3}");
+  // The duplicate's column is its first token's, wherever that is.
+  e = capture("3 2\n0 1\n\t  1 0\n");
+  EXPECT_EQ(e.line(), 3u);
+  EXPECT_EQ(e.column(), 4u);
+  // A duplicate before a bad token wins; a bad token before one wins too.
+  EXPECT_EQ(capture("4 3\n0 1\n1 0\nx 2\n").code(),
+            ParseErrorCode::kDuplicateEdge);
+  e = capture("4 3\n0 1\nx 2\n1 0\n");
+  EXPECT_EQ(e.code(), ParseErrorCode::kBadToken);
+  EXPECT_EQ(e.line(), 3u);
+  // So does a duplicate before an end-of-input count mismatch.
+  EXPECT_EQ(capture("4 5\n0 1\n1 0\n").code(),
+            ParseErrorCode::kDuplicateEdge);
 }
 
 TEST(IoHardening, DiagnosticTokenIsClippedForPathologicalInput) {

@@ -6,6 +6,7 @@
 
 #include "api/cli_options.hpp"
 #include "api/status.hpp"
+#include "edge_list_oracle.hpp"
 #include "graph/io.hpp"
 #include "mpc/faults.hpp"
 #include "mpc/shard_format.hpp"
@@ -28,6 +29,11 @@ graph::EdgeListLimits fuzz_limits(graph::DuplicatePolicy policy) {
 }
 
 void read_one(const std::string& text, graph::DuplicatePolicy policy) {
+  // The block scanner and the line-at-a-time oracle must agree exactly:
+  // the same graph, or the same typed error at the same place.
+  if (!edge_list_difference(text, fuzz_limits(policy)).empty()) {
+    __builtin_trap();
+  }
   try {
     std::istringstream in(text);
     const graph::Graph g = graph::read_edge_list(in, fuzz_limits(policy));

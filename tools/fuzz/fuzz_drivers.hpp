@@ -17,7 +17,9 @@
 namespace dmpc::fuzz {
 
 /// graph::read_edge_list with small hard caps, under both duplicate
-/// policies, plus a write/re-read round trip on accepted graphs.
+/// policies: it must agree with the line-at-a-time oracle
+/// (edge_list_oracle.hpp) on the graph or on the typed error, and accepted
+/// graphs must survive a write/re-read round trip.
 int drive_edge_list(const std::uint8_t* data, std::size_t size);
 
 /// mpc::FaultPlan::parse (the throwing overload), both key spaces, with a
