@@ -50,6 +50,7 @@ class FunctionSequence {
   FunctionSequence(const SmallFamily& family, unsigned length,
                    std::uint64_t candidate_cap);
 
+  const SmallFamily& family() const { return *family_; }
   unsigned length() const { return length_; }
   std::uint64_t per_phase_seeds() const { return per_phase_; }
   std::uint64_t sequence_count() const { return space_.size(); }

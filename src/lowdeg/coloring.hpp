@@ -10,11 +10,18 @@
 // colors to q^2 = O((D log_D C)^2) and O(log* n) steps reach the fixed point
 // q^2 = O(D^2). Applied to G^2 (max degree D <= Delta^2) this yields the
 // O(Delta^4) coloring the paper needs.
+//
+// G^2 is never built: a step walks 2-hop neighbors in G (D is counted per
+// node from the deduplicated 2-hop set) and sweeps x = 0, 1, ... once for
+// all nodes with one n-entry column f_{color[v]}(x). Node blocks run on the
+// executor and each node writes only its own slot: colors do not depend on
+// the thread count.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "exec/parallel.hpp"
 #include "graph/graph.hpp"
 #include "mpc/cluster.hpp"
 
@@ -27,10 +34,12 @@ struct ColoringResult {
 };
 
 /// Pure computation: proper coloring of `g` with O(max_degree^2) colors.
-ColoringResult linial_coloring_raw(const graph::Graph& g);
+ColoringResult linial_coloring_raw(const graph::Graph& g,
+                                   const exec::Executor& ex = {});
 
 /// Pure computation: distance-2 coloring of `g` with O(Delta^4) colors.
-ColoringResult distance2_coloring_raw(const graph::Graph& g);
+ColoringResult distance2_coloring_raw(const graph::Graph& g,
+                                      const exec::Executor& ex = {});
 
 /// Proper coloring of `g` with O(max_degree^2) colors, with MPC round
 /// charging (one round per reduction step).

@@ -1,7 +1,6 @@
 #include "lowdeg/neighborhoods.hpp"
 
 #include <algorithm>
-#include <queue>
 
 #include "support/check.hpp"
 #include "support/math.hpp"
@@ -17,33 +16,39 @@ NeighborhoodGather gather_neighborhoods(mpc::Cluster& cluster, const Graph& g,
   DMPC_CHECK(radius >= 1);
   NeighborhoodGather out;
   out.radius = radius;
-  out.balls.resize(g.num_nodes());
+  const NodeId n = g.num_nodes();
+  out.ball_size.assign(n, 0);
 
-  // Central truncated BFS per node; the model cost is the doubling scheme.
-  std::vector<std::uint32_t> dist(g.num_nodes(), UINT32_MAX);
-  std::vector<NodeId> touched;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (!alive[v]) continue;
-    touched.clear();
-    std::queue<NodeId> frontier;
-    dist[v] = 0;
-    frontier.push(v);
-    touched.push_back(v);
-    while (!frontier.empty()) {
-      const NodeId u = frontier.front();
-      frontier.pop();
-      if (dist[u] == radius) continue;
-      for (NodeId w : g.neighbors(u)) {
-        if (!alive[w] || dist[w] != UINT32_MAX) continue;
-        dist[w] = dist[u] + 1;
-        frontier.push(w);
-        touched.push_back(w);
+  // Truncated BFS per node, level by level; the model cost is the doubling
+  // scheme. Each worker keeps one n-byte visited mask, all-zero between
+  // nodes, and v writes only its own slot, so sizes match for every thread
+  // count.
+  constexpr std::uint64_t kBlock = 8192;
+  const auto bfs = [&](std::uint64_t v) {
+    if (!alive[v]) return;
+    thread_local std::vector<std::uint8_t> seen;
+    thread_local std::vector<NodeId> ball;  // visited nodes, in level order
+    if (seen.size() < n) seen.resize(n, 0);
+    ball.assign(1, static_cast<NodeId>(v));
+    seen[v] = 1;
+    std::size_t level_begin = 0;
+    for (std::uint32_t r = 0; r < radius && level_begin < ball.size(); ++r) {
+      const std::size_t level_end = ball.size();
+      for (std::size_t i = level_begin; i < level_end; ++i) {
+        for (NodeId w : g.neighbors(ball[i])) {
+          if (!alive[w] || seen[w]) continue;
+          seen[w] = 1;
+          ball.push_back(w);
+        }
       }
+      level_begin = level_end;
     }
-    out.balls[v].assign(touched.begin(), touched.end());
-    std::sort(out.balls[v].begin(), out.balls[v].end());
-    out.max_ball = std::max<std::uint64_t>(out.max_ball, touched.size());
-    for (NodeId w : touched) dist[w] = UINT32_MAX;
+    out.ball_size[v] = static_cast<std::uint32_t>(ball.size());
+    for (NodeId w : ball) seen[w] = 0;
+  };
+  cluster.executor().for_each(0, n, bfs, kBlock);
+  for (const std::uint32_t size : out.ball_size) {
+    out.max_ball = std::max<std::uint64_t>(out.max_ball, size);
   }
 
   // Space: a ball of b nodes with degree <= Delta needs O(b * Delta) words

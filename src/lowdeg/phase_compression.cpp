@@ -17,12 +17,11 @@ std::vector<NodeId> simulate_stage(const Graph& g,
                                    std::uint64_t seq) {
   std::vector<bool> live = alive;
   std::vector<NodeId> joined;
-  std::vector<std::uint64_t> z(g.num_nodes());
+  // z_v = h(color[v]) depends on the color only: one value per color.
+  std::vector<std::uint64_t> zc(sequence.family().color_count());
   for (unsigned phase = 0; phase < sequence.length(); ++phase) {
     const auto fn = sequence.phase_fn(seq, phase);
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (live[v]) z[v] = fn.raw(color[v]);
-    }
+    for (std::uint64_t c = 0; c < zc.size(); ++c) zc[c] = fn.raw(c);
     // Local minima join; ties broken by id (colors are 2-hop distinct, so
     // adjacent nodes have distinct colors but hashes may still collide).
     std::vector<NodeId> winners;
@@ -30,10 +29,12 @@ std::vector<NodeId> simulate_stage(const Graph& g,
       if (!live[v]) continue;
       bool is_min = true;
       bool has_live_neighbor = false;
+      const std::uint64_t zv = zc[color[v]];
       for (NodeId u : g.neighbors(v)) {
         if (!live[u]) continue;
         has_live_neighbor = true;
-        if (z[u] < z[v] || (z[u] == z[v] && u < v)) {
+        const std::uint64_t zu = zc[color[u]];
+        if (zu < zv || (zu == zv && u < v)) {
           is_min = false;
           break;
         }

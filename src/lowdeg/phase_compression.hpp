@@ -30,7 +30,9 @@ struct StageOutcome {
 };
 
 /// Simulate one stage of `phases` Luby phases under sequence seed `seq`,
-/// returning the joined independent set (does not modify `alive`).
+/// returning the joined independent set (does not modify `alive`). Every
+/// color must be below sequence.family().color_count(): a phase hashes each
+/// color once, into a table over that palette.
 std::vector<graph::NodeId> simulate_stage(
     const graph::Graph& g, const std::vector<bool>& alive,
     const std::vector<std::uint32_t>& color,

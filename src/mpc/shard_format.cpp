@@ -292,6 +292,40 @@ struct ShardTarget {
   }
 };
 
+/// Rejects an input in which finalization found the duplicated canonical
+/// edges `keys`: re-streams it once and reports the first line whose edge
+/// was already seen, with read_edge_list's (code, line, column, message).
+/// Memory is O(keys); valid input never gets here.
+[[noreturn]] void throw_first_duplicate(const std::string& input_path,
+                                        const graph::EdgeListLimits& limits,
+                                        std::vector<graph::Edge> keys) {
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  const auto duplicate = [](const graph::Edge& e, std::uint64_t line = 0,
+                            std::uint64_t column = 0) {
+    return ParseError(ParseErrorCode::kDuplicateEdge,
+                      "duplicate edge {" + std::to_string(e.u) + ", " +
+                          std::to_string(e.v) + "}",
+                      line, column);
+  };
+  std::vector<bool> seen(keys.size());
+  std::ifstream in(input_path);
+  if (in.good()) {
+    graph::scan_edge_list(
+        in, limits, [](const graph::EdgeListHeader&) {},
+        [&](graph::NodeId a, graph::NodeId b, std::uint64_t line,
+            std::uint64_t column) {
+          const graph::Edge e{std::min(a, b), std::max(a, b)};
+          const auto it = std::lower_bound(keys.begin(), keys.end(), e);
+          if (it == keys.end() || *it != e) return;
+          if (seen[it - keys.begin()]) throw duplicate(e, line, column);
+          seen[it - keys.begin()] = true;
+        });
+  }
+  // The input changed during the build: report the edge without a position.
+  throw duplicate(keys.front());
+}
+
 }  // namespace
 
 ShardBuildStats shard_build(const std::string& input_path,
@@ -482,12 +516,16 @@ ShardBuildStats shard_build(const std::string& input_path,
     }
   }
 
-  // ---- Finalize: sort rows, reject duplicates, derive EdgeIds. ----
+  // ---- Finalize: sort rows, collect duplicates, derive EdgeIds. ----
   //
   // Nodes are processed in ascending order, so when node v resolves a lower
   // neighbor w < v, w's row is already sorted and the EdgeId of {w, v} is
   // coffsets[w] + (rank of v among w's higher neighbors) — a binary search
-  // in w's (possibly already flushed; pages fault back in) mapped row.
+  // in w's (possibly already flushed; pages fault back in) mapped row. A
+  // duplicate {v, w} shows as a repeat in the lower endpoint's row; the
+  // counts include repeats, so the derivation stays inside the shard and its
+  // output is dropped when any were found.
+  std::vector<graph::Edge> duplicates;
   {
     std::uint64_t dirty_bytes = 0;
     for (graph::NodeId v = 0; v < n; ++v) {
@@ -496,11 +534,8 @@ ShardBuildStats shard_build(const std::string& input_path,
       const std::uint64_t d = offsets[v + 1] - offsets[v];
       std::sort(row, row + d);
       for (std::uint64_t i = 1; i < d; ++i) {
-        if (row[i - 1] == row[i]) {
-          throw ParseError(ParseErrorCode::kDuplicateEdge,
-                           "duplicate edge {" +
-                               std::to_string(std::min(v, row[i])) + ", " +
-                               std::to_string(std::max(v, row[i])) + "}");
+        if (row[i - 1] == row[i] && v < row[i]) {
+          duplicates.push_back({v, row[i]});
         }
       }
       std::uint64_t* inc = t.incident() + (offsets[v] - t.entry.slot_begin);
@@ -527,6 +562,9 @@ ShardBuildStats shard_build(const std::string& input_path,
         dirty_bytes = 0;
       }
     }
+  }
+  if (!duplicates.empty()) {
+    throw_first_duplicate(input_path, options.limits, std::move(duplicates));
   }
 
   // Stamp each shard's CRC64 into its manifest entry. Synced shards are

@@ -11,8 +11,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "api/report_json.hpp"
@@ -145,6 +148,46 @@ TEST(ShardBuild, RejectsDuplicateEdges) {
     FAIL() << "duplicate edge accepted";
   } catch (const ParseError& e) {
     EXPECT_EQ(e.code(), ParseErrorCode::kDuplicateEdge);
+  }
+}
+
+/// (code, line, column, message) of the ParseError `read` throws.
+std::tuple<ParseErrorCode, std::uint64_t, std::uint64_t, std::string>
+error_of(const std::function<void()>& read) {
+  try {
+    read();
+  } catch (const ParseError& e) {
+    return {e.code(), e.line(), e.column(), e.message()};
+  }
+  ADD_FAILURE() << "input accepted";
+  return {};
+}
+
+TEST(ShardBuild, DuplicateErrorMatchesReader) {
+  TempDir dir("dmpc_storage_dup_position");
+  std::vector<std::string> inputs = {
+      std::string(DMPC_EDGE_LIST_CORPUS_DIR) + "/duplicate_edge.txt",
+      std::string(DMPC_EDGE_LIST_CORPUS_DIR) + "/duplicates_crossed.txt",
+      dir.str("gnm.txt")};
+  // gnm(4096, 32768) whose line 4 repeats line 3.
+  std::stringstream text;
+  graph::write_edge_list(graph::gnm(4096, 32768, 5), text);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(text, line);) lines.push_back(line);
+  lines[3] = lines[2];
+  {
+    std::ofstream out(inputs.back());
+    for (const std::string& line : lines) out << line << '\n';
+  }
+  for (const std::string& input : inputs) {
+    SCOPED_TRACE(input);
+    const auto want =
+        error_of([&] { (void)graph::read_edge_list_file(input); });
+    const auto got =
+        error_of([&] { shard_build(input, dir.str("shards")); });
+    EXPECT_EQ(std::get<0>(got), ParseErrorCode::kDuplicateEdge);
+    EXPECT_NE(std::get<1>(got), 0u);
+    EXPECT_EQ(got, want);
   }
 }
 

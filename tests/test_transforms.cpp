@@ -1,4 +1,4 @@
-// Unit tests for line graph, square graph, and subgraph transforms.
+// Unit tests for line graph and subgraph transforms.
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
@@ -37,26 +37,6 @@ TEST(LineGraph, SizeFormula) {
   }
   EXPECT_EQ(lg.num_nodes(), g.num_edges());
   EXPECT_EQ(lg.num_edges(), sum_d2 / 2 - g.num_edges());
-}
-
-TEST(Square, PathGainsDistance2Edges) {
-  const Graph p = path(5);
-  const Graph p2 = square(p);
-  EXPECT_EQ(p2.num_edges(), 4u + 3u);  // dist-1 + dist-2 pairs
-  EXPECT_TRUE(p2.has_edge(0, 2));
-  EXPECT_FALSE(p2.has_edge(0, 3));
-}
-
-TEST(Square, MaxDegreeBounded) {
-  const Graph g = random_regular(200, 4, 5);
-  const Graph g2 = square(g);
-  EXPECT_LE(g2.max_degree(), 4u + 4u * 3u + 4u);  // <= d + d(d-1) slack
-  // A proper coloring of G^2 is a distance-2 coloring of G: check on a
-  // trivially correct coloring by identity.
-  std::vector<std::uint32_t> ids(g.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) ids[v] = v;
-  EXPECT_TRUE(is_proper_coloring(g2, ids));
-  EXPECT_TRUE(is_distance2_coloring(g, ids));
 }
 
 TEST(Induced, RemapsAndFilters) {
