@@ -63,6 +63,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "graph/residual.hpp"
 #include "lowdeg/lowdeg_solver.hpp"
 #include "matching/det_matching.hpp"
 #include "mis/det_mis.hpp"
@@ -284,8 +285,8 @@ Json e3_points(const RunConfig& cfg) {
     cc.num_machines = 1 << 10;
     dmpc::mpc::Cluster cluster(cc);
     std::vector<bool> alive(fam.g.num_nodes(), true);
-    const auto mm =
-        dmpc::sparsify::select_matching_good_set(cluster, params, fam.g, alive);
+    const auto mm = dmpc::sparsify::select_matching_good_set(
+        cluster, params, dmpc::graph::Residual(fam.g, alive));
     const auto mis =
         dmpc::sparsify::select_mis_good_set(cluster, params, fam.g, alive);
     points.push(scope.finish(
@@ -322,11 +323,12 @@ Json e4_points(const RunConfig& cfg) {
     Json model = Json::object();
     {
       dmpc::mpc::Cluster cluster(cc);
-      std::vector<bool> alive(g.num_nodes(), true);
+      const dmpc::graph::Residual residual(
+          g, std::vector<bool>(g.num_nodes(), true));
       const auto good =
-          dmpc::sparsify::select_matching_good_set(cluster, params, g, alive);
-      const auto sp =
-          dmpc::sparsify::sparsify_edges(cluster, params, g, good, {});
+          dmpc::sparsify::select_matching_good_set(cluster, params, residual);
+      const auto sp = dmpc::sparsify::sparsify_edges(cluster, params, g,
+                                                     residual, good, {});
       double wi = 0, wii = 2;
       for (const auto& s : sp.stages) {
         wi = std::max(wi, s.invariant_degree_ratio);
@@ -522,11 +524,12 @@ Json e9_points(const RunConfig& cfg) {
     dmpc::sparsify::Params params;
     params.n = dense.num_nodes();
     params.inv_delta = 8;
-    std::vector<bool> alive(dense.num_nodes(), true);
+    const dmpc::graph::Residual residual(
+        dense, std::vector<bool>(dense.num_nodes(), true));
     const auto good =
-        dmpc::sparsify::select_matching_good_set(cluster, params, dense, alive);
-    const auto sp =
-        dmpc::sparsify::sparsify_edges(cluster, params, dense, good, {});
+        dmpc::sparsify::select_matching_good_set(cluster, params, residual);
+    const auto sp = dmpc::sparsify::sparsify_edges(cluster, params, dense,
+                                                   residual, good, {});
     std::uint64_t max_trials = 0;
     for (const auto& s : sp.stages) max_trials = std::max(max_trials, s.trials);
     points.push(scope.finish(
@@ -582,29 +585,23 @@ Json e11_points(const RunConfig& cfg) {
         {.enforce_space = false}, g.num_nodes(), g.num_edges(), config.eps,
         config.space_headroom));
     const auto params = dmpc::sparsify::params_for(config.eps, g.num_nodes());
-    std::vector<bool> alive(g.num_nodes(), true);
+    const dmpc::graph::Residual residual(g,
+                                         std::vector<bool>(g.num_nodes(), true));
     const auto good =
-        dmpc::sparsify::select_matching_good_set(cluster, params, g, alive);
-    auto two_hop = [&](const std::vector<bool>& mask) {
-      std::vector<std::vector<EdgeId>> inc(g.num_nodes());
-      for (EdgeId e = 0; e < g.num_edges(); ++e) {
-        if (!mask[e]) continue;
-        inc[g.edge(e).u].push_back(e);
-        inc[g.edge(e).v].push_back(e);
-      }
-      std::uint64_t worst = 0;
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        if (!good.in_B[v]) continue;
-        std::uint64_t words = inc[v].size();
-        for (EdgeId e : inc[v]) words += inc[g.other_endpoint(e, v)].size();
-        worst = std::max(worst, 2 * words);
-      }
-      return worst;
+        dmpc::sparsify::select_matching_good_set(cluster, params, residual);
+    // The largest 2-hop neighborhood a B node gathers over `edges`: the
+    // peak load of the gather on a cluster that does not enforce S.
+    auto two_hop = [&](const std::vector<std::uint32_t>& edges) {
+      dmpc::mpc::Cluster scratch(
+          {.machine_space = cluster.space(), .enforce_space = false});
+      (void)dmpc::matching::gather_two_hop(scratch, residual, good.b_nodes,
+                                           edges);
+      return scratch.metrics().peak_machine_load();
     };
-    const auto without = two_hop(good.in_E0);
-    const auto sp =
-        dmpc::sparsify::sparsify_edges(cluster, params, g, good, {});
-    const auto with = two_hop(sp.in_Estar);
+    const auto without = two_hop(good.e0);
+    const auto sp = dmpc::sparsify::sparsify_edges(cluster, params, g,
+                                                   residual, good, {});
+    const auto with = two_hop(sp.estar);
     points.push(scope.finish(
         Json(n),
         Json::object()

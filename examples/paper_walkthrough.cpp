@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "graph/generators.hpp"
+#include "graph/residual.hpp"
 #include "matching/det_matching.hpp"
 #include "mpc/cluster.hpp"
 #include "sparsify/degree_classes.hpp"
@@ -51,11 +52,11 @@ int main(int argc, char** argv) {
   }
 
   // --- Good nodes (Lemma 3 / Corollary 8). ---
+  const dmpc::graph::Residual residual(g, alive);
   const auto good =
-      dmpc::sparsify::select_matching_good_set(cluster, params, g, alive);
-  std::uint64_t b_count = 0, e0_count = 0;
-  for (bool b : good.in_B) b_count += b;
-  for (bool b : good.in_E0) e0_count += b;
+      dmpc::sparsify::select_matching_good_set(cluster, params, residual);
+  const std::uint64_t b_count = good.b_nodes.size();
+  const std::uint64_t e0_count = good.e0.size();
   std::printf("\nCorollary 8 picks class i = %u:\n", good.cls);
   std::printf("  |B| = %llu nodes, sum_{v in B} d(v) = %llu "
               "(bound: (delta/2)|E| = %.0f)\n",
@@ -66,8 +67,8 @@ int main(int argc, char** argv) {
               (unsigned long long)e0_count);
 
   // --- Sparsification stages (§3.2). ---
-  const auto sparse = dmpc::sparsify::sparsify_edges(cluster, params, g, good,
-                                                     config.sparsify);
+  const auto sparse = dmpc::sparsify::sparsify_edges(
+      cluster, params, g, residual, good, config.sparsify);
   std::printf("\n§3.2 sparsification to E* (planned stages: max(0, i-4) = "
               "%u):\n",
               params.stages_for_class(good.cls));

@@ -177,41 +177,6 @@ NodeId Graph::other_endpoint(EdgeId e, NodeId v) const {
   return ed.u == v ? ed.v : ed.u;
 }
 
-std::vector<std::uint32_t> masked_degrees(const Graph& g,
-                                          const std::vector<bool>& edge_mask) {
-  DMPC_CHECK(edge_mask.size() == g.num_edges());
-  std::vector<std::uint32_t> deg(g.num_nodes(), 0);
-  EdgeId e = 0;
-  for (const Edge& ed : g.edges()) {
-    if (edge_mask[e++]) {
-      ++deg[ed.u];
-      ++deg[ed.v];
-    }
-  }
-  return deg;
-}
-
-std::vector<std::uint32_t> masked_degrees(const Graph& g,
-                                          const std::vector<bool>& edge_mask,
-                                          const exec::Executor& ex) {
-  DMPC_CHECK(edge_mask.size() == g.num_edges());
-  // Node-parallel reformulation of the edge loop: deg[v] = number of v's
-  // incident edges with the mask bit set — the same value the per-edge
-  // increments produce, computed with disjoint writes.
-  std::vector<std::uint32_t> deg(g.num_nodes(), 0);
-  ex.for_each(
-      0, g.num_nodes(),
-      [&](std::uint64_t v) {
-        std::uint32_t d = 0;
-        for (EdgeId e : g.incident_edges(static_cast<NodeId>(v))) {
-          if (edge_mask[e]) ++d;
-        }
-        deg[v] = d;
-      },
-      256);
-  return deg;
-}
-
 std::vector<std::uint32_t> alive_degrees(const Graph& g,
                                          const std::vector<bool>& alive) {
   DMPC_CHECK(alive.size() == g.num_nodes());

@@ -244,16 +244,6 @@ class Graph {
   std::shared_ptr<const void> residency_;
 };
 
-/// Degree of every node restricted to edges whose mask bit is set.
-std::vector<std::uint32_t> masked_degrees(const Graph& g,
-                                          const std::vector<bool>& edge_mask);
-
-/// Host-parallel variant (node-parallel over incident edges); identical
-/// output for any executor.
-std::vector<std::uint32_t> masked_degrees(const Graph& g,
-                                          const std::vector<bool>& edge_mask,
-                                          const exec::Executor& ex);
-
 /// Degree of every node restricted to alive nodes (an edge counts iff both
 /// endpoints are alive).
 std::vector<std::uint32_t> alive_degrees(const Graph& g,

@@ -14,6 +14,26 @@ namespace dmpc::matching {
 using graph::EdgeId;
 using graph::Graph;
 using graph::NodeId;
+using LocalId = graph::Residual::LocalId;
+
+graph::CsrLists gather_two_hop(mpc::Cluster& cluster,
+                               const graph::Residual& residual,
+                               const std::vector<LocalId>& b_nodes,
+                               const std::vector<LocalId>& estar) {
+  graph::CsrLists incident = residual.incidence(estar);
+  std::vector<NodeId> centers;
+  std::vector<std::uint64_t> words;
+  for (LocalId v : b_nodes) {
+    std::uint64_t w = incident[v].size();
+    for (std::uint32_t pos : incident[v]) {
+      w += incident[residual.other_endpoint(estar[pos], v)].size();
+    }
+    centers.push_back(residual.node_id(v));
+    words.push_back(2 * w);  // 2 words per edge record
+  }
+  mpc::charge_two_hop_gather(cluster, centers, words, "matching/gather2hop");
+  return incident;
+}
 
 namespace {
 
@@ -22,39 +42,35 @@ namespace {
 /// neighbors (ties by id) — always a matching. Value = sum of alive-degrees
 /// of B-nodes covered by E_h.
 //
-// Range form: the E* edge list is the bound point universe, so every
-// priority z_e is computed once per seed by the lane-parallel kernel; the
-// local-min test then reads competitors' priorities by edge position instead
-// of re-evaluating the polynomial per incidence (previously O(sum deg^2)
-// hash evaluations per seed — the selection hotspot). The covered bitmap is
-// a per-seed prepass into thread-local scratch.
+// Range form: the E* edge list (original ids) is the bound point universe,
+// so the lane-parallel kernel computes every priority z_e once per seed, and
+// the local-min test reads competitors' priorities by E* position through
+// E*'s incidence. The covered bitmap is a per-seed prepass into
+// thread-local scratch; ranges are the B nodes, summed in ascending order.
 class SelectionObjective final : public derand::RangeObjective {
  public:
-  SelectionObjective(const Graph& g, const hash::KWiseFamily& family,
-                     const std::vector<EdgeId>& estar_edges,
-                     const std::vector<std::vector<EdgeId>>& estar_incident,
-                     const std::vector<bool>& in_B,
-                     const std::vector<std::uint32_t>& alive_degree)
-      : g_(&g),
-        estar_edges_(&estar_edges),
+  SelectionObjective(const graph::Residual& residual,
+                     const hash::KWiseFamily& family,
+                     const std::vector<LocalId>& estar,
+                     const graph::CsrLists& estar_incident,
+                     const std::vector<LocalId>& b_nodes)
+      : residual_(&residual),
+        estar_(&estar),
         estar_incident_(&estar_incident),
-        in_B_(&in_B),
-        alive_degree_(&alive_degree),
-        edge_pos_(g.num_edges(), 0) {
-    for (std::size_t i = 0; i < estar_edges.size(); ++i) {
-      edge_pos_[estar_edges[i]] = i;
-    }
-    bind_points(family, estar_edges.data(), estar_edges.size());
+        b_nodes_(&b_nodes) {
+    for (LocalId e : estar) ids_.push_back(residual.edge_id(e));
+    bind_points(family, ids_.data(), ids_.size());
   }
 
-  /// The committed matching for a seed (used after the search picks one).
-  std::vector<EdgeId> matching_for(std::uint64_t seed) const {
+  /// E* positions of the committed matching for a seed (used after the
+  /// search picks one), ascending.
+  std::vector<std::uint32_t> matching_for(std::uint64_t seed) const {
     const auto fn = family().at(seed);
-    std::vector<std::uint64_t> values(estar_edges_->size());
-    fn.raw_many(estar_edges_->data(), estar_edges_->size(), values.data());
-    std::vector<EdgeId> matched;
-    for (std::size_t i = 0; i < estar_edges_->size(); ++i) {
-      if (is_local_min(i, values.data())) matched.push_back((*estar_edges_)[i]);
+    std::vector<std::uint64_t> values(ids_.size());
+    fn.raw_many(ids_.data(), ids_.size(), values.data());
+    std::vector<std::uint32_t> matched;
+    for (std::uint32_t i = 0; i < ids_.size(); ++i) {
+      if (is_local_min(i, values.data())) matched.push_back(i);
     }
     return matched;
   }
@@ -62,12 +78,12 @@ class SelectionObjective final : public derand::RangeObjective {
   void prepare_seed(std::uint64_t /*seed*/,
                     const std::uint64_t* values) const override {
     std::vector<std::uint8_t>& covered = covered_scratch();
-    covered.assign(g_->num_nodes(), 0);
-    for (std::size_t i = 0; i < estar_edges_->size(); ++i) {
+    covered.assign(residual_->num_nodes(), 0);
+    for (std::uint32_t i = 0; i < ids_.size(); ++i) {
       if (!is_local_min(i, values)) continue;
-      const EdgeId e = (*estar_edges_)[i];
-      covered[g_->edge(e).u] = 1;
-      covered[g_->edge(e).v] = 1;
+      const auto& ends = residual_->edge((*estar_)[i]);
+      covered[ends.u] = 1;
+      covered[ends.v] = 1;
     }
   }
 
@@ -76,18 +92,17 @@ class SelectionObjective final : public derand::RangeObjective {
                           const std::uint64_t* /*values*/) const override {
     const std::vector<std::uint8_t>& covered = covered_scratch();
     double q = 0.0;
-    for (std::uint64_t v = range_begin; v < range_end; ++v) {
-      if ((*in_B_)[v] && covered[v] != 0) {
-        q += static_cast<double>((*alive_degree_)[v]);
-      }
+    for (std::uint64_t i = range_begin; i < range_end; ++i) {
+      const LocalId v = (*b_nodes_)[i];
+      if (covered[v] != 0) q += static_cast<double>(residual_->degree(v));
     }
     return q;
   }
 
-  /// Accumulable ranges partition the node set; term_count() stays the E*
-  /// edge count — the model aggregation size the round charges depend on.
-  std::uint64_t range_count() const override { return g_->num_nodes(); }
-  std::uint64_t term_count() const override { return estar_edges_->size(); }
+  /// Accumulable ranges are the B nodes; term_count() stays the E* edge
+  /// count — the model aggregation size the round charges depend on.
+  std::uint64_t range_count() const override { return b_nodes_->size(); }
+  std::uint64_t term_count() const override { return ids_.size(); }
 
  private:
   static std::vector<std::uint8_t>& covered_scratch() {
@@ -96,28 +111,25 @@ class SelectionObjective final : public derand::RangeObjective {
   }
 
   /// Local-min test over precomputed priorities; values is indexed by E*
-  /// edge position (identical comparisons to the former per-edge raw()).
-  bool is_local_min(std::size_t i, const std::uint64_t* values) const {
-    const EdgeId e = (*estar_edges_)[i];
+  /// position, ties break by original edge id.
+  bool is_local_min(std::uint32_t i, const std::uint64_t* values) const {
     const std::uint64_t ze = values[i];
-    const auto beats = [&](EdgeId f) {
-      const std::uint64_t zf = values[edge_pos_[f]];
-      return zf < ze || (zf == ze && f < e);
-    };
-    for (NodeId endpoint : {g_->edge(e).u, g_->edge(e).v}) {
-      for (EdgeId f : (*estar_incident_)[endpoint]) {
-        if (f != e && beats(f)) return false;
+    const auto& ends = residual_->edge((*estar_)[i]);
+    for (LocalId endpoint : {ends.u, ends.v}) {
+      for (std::uint32_t f : (*estar_incident_)[endpoint]) {
+        if (f == i) continue;
+        const std::uint64_t zf = values[f];
+        if (zf < ze || (zf == ze && ids_[f] < ids_[i])) return false;
       }
     }
     return true;
   }
 
-  const Graph* g_;
-  const std::vector<EdgeId>* estar_edges_;
-  const std::vector<std::vector<EdgeId>>* estar_incident_;
-  const std::vector<bool>* in_B_;
-  const std::vector<std::uint32_t>* alive_degree_;
-  std::vector<std::size_t> edge_pos_;  ///< EdgeId -> position in estar_edges
+  const graph::Residual* residual_;
+  const std::vector<LocalId>* estar_;
+  const graph::CsrLists* estar_incident_;
+  const std::vector<LocalId>* b_nodes_;
+  std::vector<EdgeId> ids_;  ///< Original id of each E* position.
 };
 
 }  // namespace
@@ -135,13 +147,13 @@ DetMatchingResult det_maximal_matching(mpc::Cluster& cluster, const Graph& g,
   const sparsify::Params params =
       sparsify::params_for(config.eps, g.num_nodes());
   DetMatchingResult result;
-  std::vector<bool> alive(g.num_nodes(), true);
+  graph::Residual residual(g, std::vector<bool>(g.num_nodes(), true));
   obs::Span pipeline_span(cluster.trace(), "matching/pipeline");
   // Distributed state a phase checkpoint persists: the edge list plus the
   // per-node alive/matched flags.
   const std::uint64_t phase_words = 2 * g.num_edges() + g.num_nodes();
 
-  while (graph::alive_edge_count(g, alive, cluster.executor()) > 0) {
+  while (residual.num_edges() > 0) {
     DMPC_CHECK_MSG(result.iterations < config.max_iterations,
                    "matching iteration cap exceeded");
     ++result.iterations;
@@ -154,7 +166,7 @@ DetMatchingResult det_maximal_matching(mpc::Cluster& cluster, const Graph& g,
     const auto good = [&] {
       const obs::Span span =
           cluster.phase("matching/phase/good_nodes", phase_words);
-      return sparsify::select_matching_good_set(cluster, params, g, alive);
+      return sparsify::select_matching_good_set(cluster, params, residual);
     }();
     report.cls = good.cls;
     report.edges_before = good.alive_edges;
@@ -163,7 +175,7 @@ DetMatchingResult det_maximal_matching(mpc::Cluster& cluster, const Graph& g,
     const auto sparse = [&] {
       const obs::Span span =
           cluster.phase("matching/phase/sparsify", phase_words);
-      return sparsify::sparsify_edges(cluster, params, g, good,
+      return sparsify::sparsify_edges(cluster, params, g, residual, good,
                                       config.sparsify);
     }();
     report.sparsify_stages = sparse.stages.size();
@@ -179,36 +191,16 @@ DetMatchingResult det_maximal_matching(mpc::Cluster& cluster, const Graph& g,
 
     // 3. Gather 2-hop neighborhoods of B-nodes in E* (space check, §3.3).
     obs::Span gather_span = cluster.phase("matching/phase/gather", phase_words);
-    std::vector<EdgeId> estar_edges;
-    std::vector<std::vector<EdgeId>> estar_incident(g.num_nodes());
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      if (!sparse.in_Estar[e]) continue;
-      estar_edges.push_back(e);
-      estar_incident[g.edge(e).u].push_back(e);
-      estar_incident[g.edge(e).v].push_back(e);
-    }
-    {
-      std::vector<std::uint64_t> two_hop(g.num_nodes(), 0);
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        if (!good.in_B[v]) continue;
-        std::uint64_t words = estar_incident[v].size();
-        for (EdgeId e : estar_incident[v]) {
-          words += estar_incident[g.other_endpoint(e, v)].size();
-        }
-        two_hop[v] = 2 * words;  // 2 words per edge record
-      }
-      mpc::charge_two_hop_gather(cluster, two_hop, good.in_B,
-                                 "matching/gather2hop");
-    }
+    const graph::CsrLists estar_incident =
+        gather_two_hop(cluster, residual, good.b_nodes, sparse.estar);
     gather_span.end();
 
     // 4-5. Derandomized Lemma-13 selection.
     obs::Span derand_span = cluster.phase("matching/phase/derand", phase_words);
-    const auto alive_degree = graph::alive_degrees(g, alive, cluster.executor());
     const std::uint64_t domain = std::max<std::uint64_t>(2, g.num_edges());
     hash::KWiseFamily family(domain, domain, /*k=*/2);
-    SelectionObjective objective(g, family, estar_edges, estar_incident,
-                                 good.in_B, alive_degree);
+    SelectionObjective objective(residual, family, sparse.estar,
+                                 estar_incident, good.b_nodes);
     derand::SelectionOptions selection;
     selection.label = "matching/selection";
     selection.mode = config.selection_mode;
@@ -228,13 +220,16 @@ DetMatchingResult det_maximal_matching(mpc::Cluster& cluster, const Graph& g,
     const auto matched = objective.matching_for(committed.seed);
     DMPC_CHECK_MSG(!matched.empty(), "empty committed matching");
     report.matched_pairs = matched.size();
-    for (EdgeId e : matched) {
-      result.matching.push_back(e);
-      alive[g.edge(e).u] = false;
-      alive[g.edge(e).v] = false;
+    std::vector<std::uint8_t> removed(residual.num_nodes(), 0);
+    for (std::uint32_t pos : matched) {
+      const LocalId e = sparse.estar[pos];
+      result.matching.push_back(residual.edge_id(e));
+      removed[residual.edge(e).u] = 1;
+      removed[residual.edge(e).v] = 1;
     }
+    residual.remove(removed);  // good and sparse now hold stale ids
 
-    report.edges_after = graph::alive_edge_count(g, alive, cluster.executor());
+    report.edges_after = residual.num_edges();
     report.progress_fraction =
         static_cast<double>(report.edges_before - report.edges_after) /
         static_cast<double>(report.edges_before);

@@ -22,6 +22,7 @@
 
 #include "derand/seed_search.hpp"
 #include "graph/graph.hpp"
+#include "graph/residual.hpp"
 #include "mpc/cluster.hpp"
 #include "mpc/metrics.hpp"
 #include "sparsify/edge_sparsifier.hpp"
@@ -80,6 +81,14 @@ struct DetMatchingResult {
   mpc::RecoveryStats recovery;  ///< All-zero for a fault-free run.
   std::uint64_t machine_space = 0;  ///< S of the cluster the run used.
 };
+
+/// Step 3 (§3.3): space-checks and charges the gather of each B node's
+/// 2-hop neighborhood in the residual edge list `estar` (2 words per edge;
+/// messages name input-graph node ids) and returns estar's incidence.
+graph::CsrLists gather_two_hop(
+    mpc::Cluster& cluster, const graph::Residual& residual,
+    const std::vector<graph::Residual::LocalId>& b_nodes,
+    const std::vector<graph::Residual::LocalId>& estar);
 
 /// Builds the cluster from config.cluster (provisioned for the graph) and
 /// runs the full loop.

@@ -205,7 +205,7 @@ DetMisResult det_mis(mpc::Cluster& cluster, const Graph& g,
     std::vector<std::vector<NodeId>> nv(g.num_nodes());
     {
       const std::uint64_t window = params.group_size();
-      std::vector<std::uint64_t> two_hop(g.num_nodes(), 0);
+      std::vector<std::uint64_t> two_hop;
       for (NodeId v = 0; v < g.num_nodes(); ++v) {
         if (!alive[v] || !good.in_B[v]) continue;
         b_nodes.push_back(v);
@@ -216,9 +216,9 @@ DetMisResult det_mis(mpc::Cluster& cluster, const Graph& g,
         }
         std::uint64_t words = nv[v].size();
         for (NodeId u : nv[v]) words += q_adj[u].size();
-        two_hop[v] = words;
+        two_hop.push_back(words);
       }
-      mpc::charge_two_hop_gather(cluster, two_hop, good.in_B, "mis/gather");
+      mpc::charge_two_hop_gather(cluster, b_nodes, two_hop, "mis/gather");
     }
     gather_span.end();
 

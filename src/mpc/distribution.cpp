@@ -34,17 +34,17 @@ std::vector<GroupMachine> build_machine_groups(
 }
 
 void charge_two_hop_gather(Cluster& cluster,
+                           const std::vector<graph::NodeId>& centers,
                            const std::vector<std::uint64_t>& two_hop_words,
-                           const std::vector<bool>& centers,
                            const std::string& label) {
   DMPC_CHECK(two_hop_words.size() == centers.size());
   std::uint64_t total = 0;
-  for (std::size_t v = 0; v < centers.size(); ++v) {
-    if (!centers[v]) continue;
+  for (std::size_t i = 0; i < centers.size(); ++i) {
     cluster.check_load(
-        two_hop_words[v],
-        label + ": 2-hop neighborhood of node " + std::to_string(v), label);
-    total += two_hop_words[v];
+        two_hop_words[i],
+        label + ": 2-hop neighborhood of node " + std::to_string(centers[i]),
+        label);
+    total += two_hop_words[i];
   }
   // Sort edges to collect 1-hop lists, then one request + one response
   // exchange for the second hop (§2.2).

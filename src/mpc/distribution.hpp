@@ -34,14 +34,14 @@ std::vector<GroupMachine> build_machine_groups(
     Cluster& cluster, const std::vector<std::uint64_t>& counts_per_owner,
     std::uint64_t group_size, std::uint64_t arity, const std::string& label);
 
-/// Space accounting for the §3.3 gather: for each center v (mask true), the
-/// machine x_v stores every incident item plus the neighborhoods of the
-/// other endpoints — `two_hop_words(v)` words. Checks each against S and
-/// charges the O(1) gather rounds (sort to collect 1-hop lists + one
-/// request/response exchange, per §2.2).
+/// Space accounting for the §3.3 gather: the machine x_v of each center
+/// v = centers[i] (input-graph node ids) stores every incident item plus
+/// the neighborhoods of the other endpoints — `two_hop_words[i]` words.
+/// Checks each against S, in list order, and charges the O(1) gather rounds
+/// (sort to collect 1-hop lists + one request/response exchange, per §2.2).
 void charge_two_hop_gather(Cluster& cluster,
+                           const std::vector<graph::NodeId>& centers,
                            const std::vector<std::uint64_t>& two_hop_words,
-                           const std::vector<bool>& centers,
                            const std::string& label);
 
 }  // namespace dmpc::mpc

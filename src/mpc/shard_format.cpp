@@ -326,6 +326,33 @@ struct ShardTarget {
   throw duplicate(keys.front());
 }
 
+/// Pass 1 counts edges without detecting duplicates, so when its scan
+/// fails, an earlier duplicate must still win, as in read_edge_list:
+/// re-streams the input up to the scan error and throws the first
+/// duplicate before it, if any. Returns otherwise. Error path only; memory
+/// is O(edges before the error).
+void throw_duplicate_before_error(const std::string& input_path,
+                                  const graph::EdgeListLimits& limits) {
+  std::vector<graph::Edge> edges;
+  std::ifstream in(input_path);
+  if (!in.good()) return;
+  try {
+    graph::scan_edge_list(
+        in, limits, [](const graph::EdgeListHeader&) {},
+        [&](graph::NodeId a, graph::NodeId b, std::uint64_t, std::uint64_t) {
+          edges.push_back({std::min(a, b), std::max(a, b)});
+        });
+  } catch (const ParseError&) {
+    // The error pass 1 already holds; only the edges before it matter.
+  }
+  std::sort(edges.begin(), edges.end());
+  std::vector<graph::Edge> keys;
+  for (std::size_t i = 1; i < edges.size(); ++i) {
+    if (edges[i] == edges[i - 1]) keys.push_back(edges[i]);
+  }
+  if (!keys.empty()) throw_first_duplicate(input_path, limits, std::move(keys));
+}
+
 }  // namespace
 
 ShardBuildStats shard_build(const std::string& input_path,
@@ -361,20 +388,26 @@ ShardBuildStats shard_build(const std::string& input_path,
     }
     // Duplicate edges are still counted here — they are detected (and
     // rejected) at finalization, where rows are sorted.
-    graph::scan_edge_list(
-        in, options.limits,
-        [&](const graph::EdgeListHeader& header) {
-          n = header.n;
-          declared_m = header.declared_m;
-          deg.assign(n, 0);
-          cdeg.assign(n, 0);
-        },
-        [&](graph::NodeId a, graph::NodeId b, std::uint64_t, std::uint64_t) {
-          ++deg[a];
-          ++deg[b];
-          ++cdeg[std::min(a, b)];
-          ++m;
-        });
+    try {
+      graph::scan_edge_list(
+          in, options.limits,
+          [&](const graph::EdgeListHeader& header) {
+            n = header.n;
+            declared_m = header.declared_m;
+            deg.assign(n, 0);
+            cdeg.assign(n, 0);
+          },
+          [&](graph::NodeId a, graph::NodeId b, std::uint64_t,
+              std::uint64_t) {
+            ++deg[a];
+            ++deg[b];
+            ++cdeg[std::min(a, b)];
+            ++m;
+          });
+    } catch (const ParseError&) {
+      throw_duplicate_before_error(input_path, options.limits);
+      throw;
+    }
   }
 
   std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1, 0);

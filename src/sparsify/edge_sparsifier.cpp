@@ -12,52 +12,50 @@
 
 namespace dmpc::sparsify {
 
-using graph::EdgeId;
 using graph::Graph;
-using graph::NodeId;
 
-StageWindows edge_stage_windows(const Graph& g,
-                                const std::vector<bool>& in_E,
-                                const std::vector<bool>& in_B,
-                                const std::vector<std::vector<EdgeId>>& xv,
-                                double q, double mult,
+StageWindows edge_stage_windows(const graph::Residual& residual,
+                                std::span<const LocalId> edges,
+                                std::span<const LocalId> b_nodes,
+                                const graph::CsrLists& xv, double q,
+                                double mult,
                                 std::vector<std::uint64_t>& degree_counts) {
+  DMPC_CHECK_MSG(edges.size() < kNoPosition,
+                 "edge sparsifier: E_{j-1} exceeds 32-bit positions");
+  DMPC_CHECK(xv.size() == b_nodes.size());
   StageWindows windows;
-  // E_{j-1} ascending is the point universe. Type-A windows are built by
-  // count / prefix-sum / scatter straight into the item array; they are
-  // integer counts, so item order inside a window cannot change a value.
-  std::vector<std::uint32_t> edge_pos(g.num_edges(), kNoPosition);
-  std::vector<std::uint64_t> offset(g.num_nodes() + 1, 0);
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (!in_E[e]) continue;
-    DMPC_CHECK_MSG(windows.universe.size() < kNoPosition,
-                   "edge sparsifier: E_{j-1} exceeds 32-bit positions");
-    edge_pos[e] = static_cast<std::uint32_t>(windows.universe.size());
-    windows.universe.push_back(e);
-    ++offset[g.edge(e).u + 1];
-    ++offset[g.edge(e).v + 1];
+  // E_{j-1} ascending is the point universe. Type-A windows are each node's
+  // incident positions; they are integer counts, so item order inside a
+  // window cannot change a value.
+  windows.universe.reserve(edges.size());
+  for (LocalId e : edges) windows.universe.push_back(residual.edge_id(e));
+  graph::CsrLists incident =
+      residual.incidence(edges, xv.items.size() + edges.size());
+  const std::vector<std::uint64_t>& offsets = incident.offsets;
+  windows.items = std::move(incident.items);
+  std::size_t owners = 1;  // exact, so owner growth cannot fragment the heap
+  for (LocalId v = 0; v < residual.num_nodes(); ++v) {
+    owners += offsets[v + 1] > offsets[v] ? 1 : 0;
   }
-  for (NodeId v = 0; v < g.num_nodes(); ++v) offset[v + 1] += offset[v];
-  windows.items.resize(offset[g.num_nodes()]);
-  std::vector<std::uint64_t> fill(offset.begin(), offset.end() - 1);
-  for (std::uint32_t pos = 0; pos < windows.universe.size(); ++pos) {
-    const graph::Edge& edge = g.edge(windows.universe[pos]);
-    windows.items[fill[edge.u]++] = pos;
-    windows.items[fill[edge.v]++] = pos;
-  }
-  degree_counts.assign(g.num_nodes(), 0);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    degree_counts[v] = offset[v + 1] - offset[v];
-    add_window(windows, offset[v], offset[v + 1], WindowKind::kUpper, q,
+  for (std::size_t i = 0; i < xv.size(); ++i) owners += xv[i].empty() ? 0 : 1;
+  windows.owners.reserve(owners);
+  degree_counts.resize(residual.num_nodes());
+  for (LocalId v = 0; v < residual.num_nodes(); ++v) {
+    degree_counts[v] = offsets[v + 1] - offsets[v];
+    add_window(windows, offsets[v], offsets[v + 1], WindowKind::kUpper, q,
                mult);
   }
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (!in_B[v]) continue;
+  // X(v) and v's incident E_{j-1} positions are both ascending, so one
+  // merge finds each X(v) item's position.
+  for (std::size_t i = 0; i < xv.size(); ++i) {
     const std::uint64_t begin = windows.items.size();
-    for (EdgeId e : xv[v]) {
-      DMPC_CHECK_MSG(edge_pos[e] != kNoPosition,
+    std::uint64_t at = offsets[b_nodes[i]];
+    const std::uint64_t stop = offsets[b_nodes[i] + 1];
+    for (LocalId e : xv[i]) {
+      while (at < stop && edges[windows.items[at]] < e) ++at;
+      DMPC_CHECK_MSG(at < stop && edges[windows.items[at]] == e,
                      "edge sparsifier: X(v) item outside E_{j-1}");
-      windows.items.push_back(edge_pos[e]);
+      windows.items.push_back(windows.items[at]);
     }
     add_window(windows, begin, windows.items.size(), WindowKind::kLower, q,
                mult);
@@ -77,10 +75,12 @@ StageWindows edge_stage_windows(const Graph& g,
 }
 
 EdgeSparsifyResult sparsify_edges(mpc::Cluster& cluster, const Params& params,
-                                  const Graph& g, const MatchingGoodSet& good,
+                                  const Graph& g,
+                                  const graph::Residual& residual,
+                                  const MatchingGoodSet& good,
                                   const SparsifyConfig& config) {
   EdgeSparsifyResult result;
-  result.in_Estar = good.in_E0;
+  result.estar = good.e0;
   result.xv_star = good.xv;
 
   const std::uint32_t planned = params.stages_for_class(good.cls);
@@ -88,10 +88,9 @@ EdgeSparsifyResult sparsify_edges(mpc::Cluster& cluster, const Params& params,
   const double q = params.sample_probability();
   const double nd3 = params.pow_nd(3.0);
 
-  // Baselines for the invariant measurements.
-  const auto deg_e0 = graph::masked_degrees(g, good.in_E0, cluster.executor());
-  std::vector<std::uint64_t> xv0_size(g.num_nodes(), 0);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) xv0_size[v] = good.xv[v].size();
+  // Baseline for the invariant measurements.
+  const auto deg_e0 = residual.degrees(good.e0);
+  result.max_degree = *std::max_element(deg_e0.begin(), deg_e0.end());
 
   const std::uint64_t domain = std::max<std::uint64_t>(2, g.num_edges());
   hash::KWiseFamily family(domain, domain, config.hash_k);
@@ -105,10 +104,7 @@ EdgeSparsifyResult sparsify_edges(mpc::Cluster& cluster, const Params& params,
     if (!planned_stage) {
       // §3.3 requires degrees <= 2 n^{4 delta} in E*; at finite n the
       // window slack can leave an overshoot, fixed by extra stages.
-      const auto deg_now = graph::masked_degrees(g, result.in_Estar, cluster.executor());
-      const std::uint32_t max_deg =
-          *std::max_element(deg_now.begin(), deg_now.end());
-      if (max_deg <= params.degree_cap() ||
+      if (result.max_degree <= params.degree_cap() ||
           extra_used >= config.extra_stage_cap) {
         break;
       }
@@ -125,8 +121,9 @@ EdgeSparsifyResult sparsify_edges(mpc::Cluster& cluster, const Params& params,
     // lower windows). ---
     double mult = config.slack_factor;
     std::vector<std::uint64_t> counts;
-    StageWindows windows = edge_stage_windows(
-        g, result.in_Estar, good.in_B, result.xv_star, q, mult, counts);
+    StageWindows windows =
+        edge_stage_windows(residual, result.estar, good.b_nodes,
+                           result.xv_star, q, mult, counts);
     mpc::build_machine_groups(cluster, counts, group, /*arity=*/2,
                               "sparsify/distribute");
 
@@ -177,42 +174,34 @@ EdgeSparsifyResult sparsify_edges(mpc::Cluster& cluster, const Params& params,
     report.trials = total_trials;
     report.window_multiplier = mult;
     report.machines = windows.owners.size();
-    report.edges_before = 0;
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      if (result.in_Estar[e]) ++report.edges_before;
+    report.edges_before = result.estar.size();
+    std::vector<std::uint64_t> values(windows.universe.size());
+    fn.raw_many(windows.universe.data(), values.size(), values.data());
+    std::vector<LocalId> next;
+    for (std::size_t pos = 0; pos < values.size(); ++pos) {
+      if (values[pos] < cutoff) next.push_back(result.estar[pos]);
     }
-    std::vector<bool> next = result.in_Estar;
-    EdgeId kept = 0;
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      if (!next[e]) continue;
-      if (fn.raw(e) >= cutoff) {
-        next[e] = false;
-      } else {
-        ++kept;
-      }
-    }
-    if (kept == 0) {
+    if (next.empty()) {
       // Finite-n guard: never sparsify to the empty set — keep E_{j-1} and
       // stop; the selection step's space check remains the arbiter.
       DMPC_WARN("edge sparsify stage " << stage
                                        << " would empty E; stopping early");
       break;
     }
-    result.in_Estar = std::move(next);
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (!good.in_B[v]) continue;
-      auto& list = result.xv_star[v];
-      std::erase_if(list, [&](EdgeId e) { return !result.in_Estar[e]; });
-    }
+    result.estar = std::move(next);
+    result.xv_star.keep_if([&](LocalId e) {
+      return std::binary_search(result.estar.begin(), result.estar.end(), e);
+    });
 
     // --- Measure the paper-form invariants (Lemmas 10 & 11). ---
-    const auto deg_now = graph::masked_degrees(g, result.in_Estar, cluster.executor());
+    const auto deg_now = residual.degrees(result.estar);
     const double shrink = std::pow(q, static_cast<double>(stage));
-    report.edges_after = kept;
+    report.edges_after = result.estar.size();
     report.max_degree_after =
         *std::max_element(deg_now.begin(), deg_now.end());
+    result.max_degree = report.max_degree_after;
     double worst_deg_ratio = 0.0;
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (LocalId v = 0; v < residual.num_nodes(); ++v) {
       if (deg_e0[v] == 0) continue;
       const double bound = shrink * static_cast<double>(deg_e0[v]) + nd3;
       worst_deg_ratio = std::max(
@@ -220,13 +209,13 @@ EdgeSparsifyResult sparsify_edges(mpc::Cluster& cluster, const Params& params,
     }
     report.invariant_degree_ratio = worst_deg_ratio;
     double worst_xv_ratio = 2.0;
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (!good.in_B[v] || xv0_size[v] == 0) continue;
-      const double expect = shrink * static_cast<double>(xv0_size[v]);
+    for (std::size_t i = 0; i < good.xv.size(); ++i) {
+      if (good.xv[i].empty()) continue;
+      const double expect = shrink * static_cast<double>(good.xv[i].size());
       if (expect < 1.0) continue;  // below resolution — nothing to measure
       worst_xv_ratio = std::min(
           worst_xv_ratio,
-          static_cast<double>(result.xv_star[v].size()) / expect);
+          static_cast<double>(result.xv_star[i].size()) / expect);
     }
     report.invariant_xv_ratio = worst_xv_ratio;
     if (stage_span.active()) {
@@ -239,10 +228,6 @@ EdgeSparsifyResult sparsify_edges(mpc::Cluster& cluster, const Params& params,
       stage_span.arg("window_multiplier", report.window_multiplier);
     }
     result.stages.push_back(report);
-  }
-  {
-    const auto deg_final = graph::masked_degrees(g, result.in_Estar, cluster.executor());
-    result.max_degree = *std::max_element(deg_final.begin(), deg_final.end());
   }
   return result;
 }

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -58,29 +59,32 @@ struct StageReport {
 };
 
 struct EdgeSparsifyResult {
-  std::vector<bool> in_Estar;        ///< Edge mask of E* over g.num_edges().
+  std::vector<LocalId> estar;  ///< E*: residual edge ids, ascending.
   std::vector<StageReport> stages;
-  std::uint32_t max_degree = 0;      ///< Max degree within E*.
-  /// X(v) ∩ E* lists for v in B (aligned with the good set's xv).
-  std::vector<std::vector<graph::EdgeId>> xv_star;
+  std::uint32_t max_degree = 0;  ///< Max degree within E*.
+  /// X(v) ∩ E* for each B node (aligned with the good set's b_nodes).
+  graph::CsrLists xv_star;
 };
 
-/// One stage's goodness windows over E_{j-1} = {e : in_E[e]}, as the stage's
-/// seed objective (StageObjective) reads them: a type-A upper COUNT window
-/// per node over its incident E_{j-1} edges (Lemma 10; `degree_counts[v]`
-/// receives its size), a type-B lower COUNT window per B-node over X(v),
-/// which must lie in E_{j-1} (Lemma 11), and one global two-sided COUNT
-/// window over E_{j-1}. Empty windows are dropped. Exposed for tests.
-StageWindows edge_stage_windows(
-    const graph::Graph& g, const std::vector<bool>& in_E,
-    const std::vector<bool>& in_B,
-    const std::vector<std::vector<graph::EdgeId>>& xv, double q, double mult,
-    std::vector<std::uint64_t>& degree_counts);
+/// One stage's goodness windows over the ascending residual edge list
+/// `edges` = E_{j-1} (hashed at the original ids), as StageObjective reads
+/// them: a type-A upper COUNT window per node over its incident E_{j-1}
+/// edges (Lemma 10; `degree_counts[v]` receives its size), a type-B lower
+/// COUNT window per B node b_nodes[i] over X(v) = xv[i], which must lie in
+/// E_{j-1} (Lemma 11), and one global two-sided COUNT window over E_{j-1}.
+/// Empty windows are dropped. Exposed for tests.
+StageWindows edge_stage_windows(const graph::Residual& residual,
+                                std::span<const LocalId> edges,
+                                std::span<const LocalId> b_nodes,
+                                const graph::CsrLists& xv, double q,
+                                double mult,
+                                std::vector<std::uint64_t>& degree_counts);
 
-/// Run §3.2 on the chosen good set. `good.in_E0`/`good.xv` define E_0; the
-/// result's mask is a subset of it.
+/// Run §3.2 on the good set of `residual`, the live part of g (which sizes
+/// the hash domain). `good.e0`/`good.xv` define E_0; E* is a subset of it.
 EdgeSparsifyResult sparsify_edges(mpc::Cluster& cluster, const Params& params,
                                   const graph::Graph& g,
+                                  const graph::Residual& residual,
                                   const MatchingGoodSet& good,
                                   const SparsifyConfig& config);
 

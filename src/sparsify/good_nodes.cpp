@@ -28,27 +28,27 @@ void charge_selection(mpc::Cluster& cluster, EdgeId alive_edges,
 
 MatchingGoodSet select_matching_good_set(mpc::Cluster& cluster,
                                          const Params& params,
-                                         const Graph& g,
-                                         const std::vector<bool>& alive) {
+                                         const graph::Residual& residual) {
   MatchingGoodSet out;
-  const auto deg = graph::alive_degrees(g, alive, cluster.executor());
-  out.alive_edges = graph::alive_edge_count(g, alive, cluster.executor());
+  const LocalId n = residual.num_nodes();
+  const std::vector<std::uint32_t>& deg = residual.degrees();
+  out.alive_edges = residual.num_edges();
   DMPC_CHECK_MSG(out.alive_edges > 0, "good-node selection on empty graph");
   charge_selection(cluster, out.alive_edges, "good_nodes/matching");
 
   // X membership: v in X iff 3 * |{u ~ v alive : d(u) <= d(v)}| >= d(v).
-  const NodeId n = g.num_nodes();
-  std::vector<bool> in_X(n, false);
+  std::vector<std::uint32_t> low(n, 0);
+  for (LocalId e = 0; e < residual.num_edges(); ++e) {
+    const auto [u, v] = residual.edge(e);
+    low[u] += deg[v] <= deg[u] ? 1 : 0;
+    low[v] += deg[u] <= deg[v] ? 1 : 0;
+  }
   std::uint64_t x_mass = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    if (!alive[v] || deg[v] == 0) continue;
-    std::uint64_t low = 0;
-    for (NodeId u : g.neighbors(v)) {
-      if (alive[u] && deg[u] <= deg[v]) ++low;
-    }
-    if (3 * low >= deg[v]) {
-      in_X[v] = true;
+  for (LocalId v = 0; v < n; ++v) {
+    if (3 * std::uint64_t{low[v]} >= deg[v]) {
       x_mass += deg[v];
+    } else {
+      low[v] = 0;  // marks v outside X
     }
   }
   // Lemma 3: sum_{v in X} d(v) >= |E| / 2.
@@ -59,8 +59,8 @@ MatchingGoodSet select_matching_good_set(mpc::Cluster& cluster,
   // Class masses over B_i = C_i ∩ X; pick the heaviest class.
   const DegreeClasses classes = classify(params, deg);
   std::vector<std::uint64_t> b_mass(params.inv_delta + 1, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    if (in_X[v]) b_mass[classes.class_of[v]] += deg[v];
+  for (LocalId v = 0; v < n; ++v) {
+    if (low[v] != 0) b_mass[classes.class_of[v]] += deg[v];
   }
   std::uint32_t best = 1;
   for (std::uint32_t i = 2; i <= params.inv_delta; ++i) {
@@ -73,24 +73,30 @@ MatchingGoodSet select_matching_good_set(mpc::Cluster& cluster,
   out.cls = best;
   out.b_degree_mass = b_mass[best];
 
-  // B, X(v), and E_0.
-  out.in_B.assign(n, false);
-  out.in_E0.assign(g.num_edges(), false);
-  out.xv.assign(n, {});
-  for (NodeId v = 0; v < n; ++v) {
-    if (!in_X[v] || classes.class_of[v] != best) continue;
-    out.in_B[v] = true;
-    auto nb = g.neighbors(v);
-    auto inc = g.incident_edges(v);
-    for (std::size_t idx = 0; idx < nb.size(); ++idx) {
-      const NodeId u = nb[idx];
-      if (alive[u] && deg[u] <= deg[v]) {
-        out.xv[v].push_back(inc[idx]);
-        out.in_E0[inc[idx]] = true;
-      }
-    }
-    // Definition of X guarantees |X(v)| >= d(v)/3.
-    DMPC_CHECK(3 * out.xv[v].size() >= deg[v]);
+  // B, then X(v) = {{u, v} : d(u) <= d(v)} for v in B by count / prefix-sum
+  // / scatter in ascending edge order (so each list is ascending), then
+  // E_0 as their union.
+  constexpr LocalId kNotB = ~LocalId{0};
+  std::vector<LocalId> b_index(n, kNotB);
+  for (LocalId v = 0; v < n; ++v) {
+    if (low[v] == 0 || classes.class_of[v] != best) continue;
+    b_index[v] = static_cast<LocalId>(out.b_nodes.size());
+    out.b_nodes.push_back(v);
+    out.xv.offsets.push_back(low[v]);  // |X(v)|, summed below
+  }
+  for (std::size_t i = 0; i + 1 < out.xv.offsets.size(); ++i) {
+    out.xv.offsets[i + 1] += out.xv.offsets[i];
+  }
+  out.xv.items.resize(out.xv.offsets.back());
+  std::vector<std::uint64_t> fill(out.xv.offsets.begin(),
+                                  out.xv.offsets.end() - 1);
+  for (LocalId e = 0; e < residual.num_edges(); ++e) {
+    const auto [u, v] = residual.edge(e);
+    const bool in_xu = b_index[u] != kNotB && deg[v] <= deg[u];
+    const bool in_xv = b_index[v] != kNotB && deg[u] <= deg[v];
+    if (in_xu) out.xv.items[fill[b_index[u]]++] = e;
+    if (in_xv) out.xv.items[fill[b_index[v]]++] = e;
+    if (in_xu || in_xv) out.e0.push_back(e);
   }
   return out;
 }

@@ -17,26 +17,27 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "graph/residual.hpp"
 #include "mpc/cluster.hpp"
 #include "sparsify/params.hpp"
 
 namespace dmpc::sparsify {
 
-/// Result of the matching-side selection.
+using LocalId = graph::Residual::LocalId;
+
+/// Result of the matching-side selection, in residual ids.
 struct MatchingGoodSet {
   std::uint32_t cls = 0;          ///< Chosen class i.
-  std::vector<bool> in_B;         ///< v in B = C_i ∩ X.
-  std::vector<bool> in_E0;        ///< Edge mask of E_0 (over g.num_edges()).
-  /// X(v) edge lists for v in B (empty vectors elsewhere).
-  std::vector<std::vector<graph::EdgeId>> xv;
+  std::vector<LocalId> b_nodes;   ///< B = C_i ∩ X, ascending.
+  std::vector<LocalId> e0;        ///< E_0 = union of the X(v), ascending.
+  graph::CsrLists xv;  ///< X(v) per B node (aligned with b_nodes), ascending.
   std::uint64_t b_degree_mass = 0;  ///< sum_{v in B} d(v).
   graph::EdgeId alive_edges = 0;    ///< |E| of the alive subgraph.
 };
 
 MatchingGoodSet select_matching_good_set(mpc::Cluster& cluster,
                                          const Params& params,
-                                         const graph::Graph& g,
-                                         const std::vector<bool>& alive);
+                                         const graph::Residual& residual);
 
 /// Result of the MIS-side selection.
 struct MisGoodSet {

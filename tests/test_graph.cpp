@@ -91,18 +91,6 @@ TEST(Graph, AliveHelpers) {
   EXPECT_EQ(deg[3], 0u);
 }
 
-TEST(Graph, MaskedDegrees) {
-  const Graph g = triangle_plus_pendant();
-  std::vector<bool> mask(g.num_edges(), false);
-  mask[g.find_edge(0, 1)] = true;
-  mask[g.find_edge(2, 3)] = true;
-  const auto deg = masked_degrees(g, mask);
-  EXPECT_EQ(deg[0], 1u);
-  EXPECT_EQ(deg[1], 1u);
-  EXPECT_EQ(deg[2], 1u);
-  EXPECT_EQ(deg[3], 1u);
-}
-
 TEST(Builder, TryAddFiltersInvalid) {
   GraphBuilder b(3);
   EXPECT_FALSE(b.try_add_edge(0, 0));

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "mpc/cluster.hpp"
 #include "mpc/distribution.hpp"
@@ -227,11 +228,16 @@ TEST(Distribution, GroupSizeMustFit) {
 
 TEST(Distribution, TwoHopGatherChecksEachCenter) {
   Cluster c(small_config(32, 16));
-  std::vector<std::uint64_t> words{10, 40, 5};
-  std::vector<bool> centers{true, false, true};
-  EXPECT_NO_THROW(charge_two_hop_gather(c, words, centers, "t"));
-  centers[1] = true;  // 40 > 32 now checked
-  EXPECT_THROW(charge_two_hop_gather(c, words, centers, "t"), CheckFailure);
+  EXPECT_NO_THROW(charge_two_hop_gather(c, {0, 2}, {10, 5}, "t"));
+  // 40 > 32: the message names the center's node id.
+  try {
+    charge_two_hop_gather(c, {0, 7, 2}, {10, 40, 5}, "t");
+    FAIL() << "oversized 2-hop neighborhood passed the space check";
+  } catch (const CheckFailure& failure) {
+    EXPECT_NE(std::string(failure.what()).find("2-hop neighborhood of node 7"),
+              std::string::npos)
+        << failure.what();
+  }
 }
 
 }  // namespace

@@ -5,17 +5,26 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
+#include "graph/residual.hpp"
 #include "hash/kwise.hpp"
+#include "matching/det_matching.hpp"
 #include "mpc/cluster.hpp"
+#include "mpc/shard_format.hpp"
+#include "mpc/storage.hpp"
 #include "sparsify/degree_classes.hpp"
 #include "sparsify/edge_sparsifier.hpp"
 #include "sparsify/good_nodes.hpp"
 #include "sparsify/node_sparsifier.hpp"
 #include "sparsify/params.hpp"
 #include "sparsify/stage_objective.hpp"
+#include "sparsify_oracle.hpp"
 #include "support/check.hpp"
 
 namespace dmpc::sparsify {
@@ -84,24 +93,24 @@ TEST(GoodNodes, MatchingSelectionSatisfiesCorollary8) {
     Params params;
     params.n = g.num_nodes();
     params.inv_delta = 8;
-    std::vector<bool> alive(g.num_nodes(), true);
-    const auto good = select_matching_good_set(cluster, params, g, alive);
+    const graph::Residual residual(g, std::vector<bool>(g.num_nodes(), true));
+    const auto good = select_matching_good_set(cluster, params, residual);
     // Corollary 8 (already asserted inside; re-verify the arithmetic here):
     EXPECT_GE(2 * params.inv_delta * good.b_degree_mass, good.alive_edges);
     // Every E_0 edge touches a B node, and X(v) lists are within E_0.
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (!good.in_B[v]) {
-        EXPECT_TRUE(good.xv[v].empty());
-        continue;
+    ASSERT_EQ(good.xv.size(), good.b_nodes.size());
+    const auto in_B = [&](LocalId v) {
+      return std::binary_search(good.b_nodes.begin(), good.b_nodes.end(), v);
+    };
+    for (std::size_t i = 0; i < good.b_nodes.size(); ++i) {
+      const NodeId v = residual.node_id(good.b_nodes[i]);
+      EXPECT_GE(3 * good.xv[i].size(), g.degree(v));
+      for (auto e : good.xv[i]) {
+        EXPECT_TRUE(std::binary_search(good.e0.begin(), good.e0.end(), e));
       }
-      const auto deg = g.degree(v);
-      EXPECT_GE(3 * good.xv[v].size(), deg);
-      for (auto e : good.xv[v]) EXPECT_TRUE(good.in_E0[e]);
     }
-    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-      if (good.in_E0[e]) {
-        EXPECT_TRUE(good.in_B[g.edge(e).u] || good.in_B[g.edge(e).v]);
-      }
+    for (LocalId e : good.e0) {
+      EXPECT_TRUE(in_B(residual.edge(e).u) || in_B(residual.edge(e).v));
     }
   }
 }
@@ -134,12 +143,12 @@ TEST(GoodNodes, RespectsAliveMask) {
   params.inv_delta = 8;
   std::vector<bool> alive(g.num_nodes(), true);
   for (NodeId v = 0; v < 100; ++v) alive[v] = false;
-  const auto good = select_matching_good_set(cluster, params, g, alive);
-  for (NodeId v = 0; v < 100; ++v) EXPECT_FALSE(good.in_B[v]);
-  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (good.in_E0[e]) {
-      EXPECT_TRUE(alive[g.edge(e).u] && alive[g.edge(e).v]);
-    }
+  const graph::Residual residual(g, alive);
+  const auto good = select_matching_good_set(cluster, params, residual);
+  for (LocalId v : good.b_nodes) EXPECT_TRUE(alive[residual.node_id(v)]);
+  for (LocalId e : good.e0) {
+    const graph::Edge& ends = g.edge(residual.edge_id(e));
+    EXPECT_TRUE(alive[ends.u] && alive[ends.v]);
   }
 }
 
@@ -150,13 +159,13 @@ TEST(EdgeSparsifier, LowClassPassesThrough) {
   Params params;
   params.n = g.num_nodes();
   params.inv_delta = 8;
-  std::vector<bool> alive(g.num_nodes(), true);
-  const auto good = select_matching_good_set(cluster, params, g, alive);
+  const graph::Residual residual(g, std::vector<bool>(g.num_nodes(), true));
+  const auto good = select_matching_good_set(cluster, params, residual);
   ASSERT_LE(good.cls, 4u);
   const auto sparse =
-      sparsify_edges(cluster, params, g, good, SparsifyConfig{});
+      sparsify_edges(cluster, params, g, residual, good, SparsifyConfig{});
   EXPECT_EQ(sparse.stages.size(), 0u);
-  EXPECT_EQ(sparse.in_Estar, good.in_E0);
+  EXPECT_EQ(sparse.estar, good.e0);
 }
 
 TEST(EdgeSparsifier, HighClassReducesDegreesBelowCap) {
@@ -166,28 +175,26 @@ TEST(EdgeSparsifier, HighClassReducesDegreesBelowCap) {
   Params params;
   params.n = g.num_nodes();
   params.inv_delta = 8;  // n^delta ~ 2.18, cap = 2 * n^{1/2} ~ 45
-  std::vector<bool> alive(g.num_nodes(), true);
-  const auto good = select_matching_good_set(cluster, params, g, alive);
+  const graph::Residual residual(g, std::vector<bool>(g.num_nodes(), true));
+  const auto good = select_matching_good_set(cluster, params, residual);
   const auto sparse =
-      sparsify_edges(cluster, params, g, good, SparsifyConfig{});
+      sparsify_edges(cluster, params, g, residual, good, SparsifyConfig{});
   if (good.cls > 4) {
     EXPECT_GE(sparse.stages.size(), 1u);
   }
   EXPECT_LE(sparse.max_degree, params.degree_cap());
-  // E* is a subset of E_0 and xv_star lists agree with the mask.
-  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (sparse.in_Estar[e]) {
-      EXPECT_TRUE(good.in_E0[e]);
-    }
-  }
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (auto e : sparse.xv_star[v]) {
-      EXPECT_TRUE(sparse.in_Estar[e]);
+  // E* is a subset of E_0 and the xv_star lists lie in E*.
+  EXPECT_TRUE(std::includes(good.e0.begin(), good.e0.end(),
+                            sparse.estar.begin(), sparse.estar.end()));
+  ASSERT_EQ(sparse.xv_star.size(), good.b_nodes.size());
+  for (std::size_t i = 0; i < sparse.xv_star.size(); ++i) {
+    for (auto e : sparse.xv_star[i]) {
+      EXPECT_TRUE(
+          std::binary_search(sparse.estar.begin(), sparse.estar.end(), e));
     }
   }
   // Never sparsified to empty.
-  EXPECT_GT(std::count(sparse.in_Estar.begin(), sparse.in_Estar.end(), true),
-            0);
+  EXPECT_FALSE(sparse.estar.empty());
 }
 
 TEST(EdgeSparsifier, StageReportsAreCoherent) {
@@ -196,10 +203,10 @@ TEST(EdgeSparsifier, StageReportsAreCoherent) {
   Params params;
   params.n = g.num_nodes();
   params.inv_delta = 8;
-  std::vector<bool> alive(g.num_nodes(), true);
-  const auto good = select_matching_good_set(cluster, params, g, alive);
+  const graph::Residual residual(g, std::vector<bool>(g.num_nodes(), true));
+  const auto good = select_matching_good_set(cluster, params, residual);
   const auto sparse =
-      sparsify_edges(cluster, params, g, good, SparsifyConfig{});
+      sparsify_edges(cluster, params, g, residual, good, SparsifyConfig{});
   for (std::size_t j = 0; j < sparse.stages.size(); ++j) {
     const auto& report = sparse.stages[j];
     EXPECT_EQ(report.stage, j + 1);
@@ -243,9 +250,9 @@ TEST(EdgeSparsifier, StagesStrictlyShrink) {
     Params params;
     params.n = g.num_nodes();
     params.inv_delta = 16;  // n^delta ~ 1.4: many stages, tiny windows
-    std::vector<bool> alive(g.num_nodes(), true);
-    const auto good = select_matching_good_set(cluster, params, g, alive);
-    const auto sparse = sparsify_edges(cluster, params, g, good,
+    const graph::Residual residual(g, std::vector<bool>(g.num_nodes(), true));
+    const auto good = select_matching_good_set(cluster, params, residual);
+    const auto sparse = sparsify_edges(cluster, params, g, residual, good,
                                        SparsifyConfig{});
     for (const auto& report : sparse.stages) {
       EXPECT_LT(report.edges_after, report.edges_before)
@@ -447,29 +454,35 @@ TEST(StageObjective, EdgeWindowsMatchBruteForceRecount) {
   params.n = g.num_nodes();
   params.inv_delta = 8;
   std::vector<bool> alive(g.num_nodes(), true);
-  const auto good = select_matching_good_set(cluster, params, g, alive);
+  for (NodeId v = 0; v < g.num_nodes(); v += 5) alive[v] = false;
+  const graph::Residual residual(g, alive);
+  const auto good = select_matching_good_set(cluster, params, residual);
   const double q = params.sample_probability();
   std::vector<std::uint64_t> degree_counts;
-  StageWindows windows = edge_stage_windows(g, good.in_E0, good.in_B, good.xv,
-                                            q, 0.25, degree_counts);
-  // The original lists: every node's incident E_0 edges, then X(v) for
-  // v in B, then E_0 itself.
+  StageWindows windows = edge_stage_windows(
+      residual, good.e0, good.b_nodes, good.xv, q, 0.25, degree_counts);
+  // The original lists, in input-graph edge ids: every live node's incident
+  // E_0 edges, then X(v) for v in B, then E_0 itself.
+  RawWindow all;
+  for (LocalId e : good.e0) all.items.push_back(residual.edge_id(e));
+  const auto in_e0 = [&](graph::EdgeId e) {
+    return std::binary_search(all.items.begin(), all.items.end(), e);
+  };
   std::vector<RawWindow> raw;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+  ASSERT_EQ(degree_counts.size(), residual.num_nodes());
+  for (LocalId v = 0; v < residual.num_nodes(); ++v) {
     RawWindow w;
-    for (graph::EdgeId e : g.incident_edges(v)) {
-      if (good.in_E0[e]) w.items.push_back(e);
+    for (graph::EdgeId e : g.incident_edges(residual.node_id(v))) {
+      if (in_e0(e)) w.items.push_back(e);
     }
     EXPECT_EQ(degree_counts[v], w.items.size());
     if (!w.items.empty()) raw.push_back(std::move(w));
   }
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (!good.in_B[v] || good.xv[v].empty()) continue;
-    raw.push_back({{good.xv[v].begin(), good.xv[v].end()}, {}});
-  }
-  RawWindow all;
-  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (good.in_E0[e]) all.items.push_back(e);
+  for (std::size_t i = 0; i < good.xv.size(); ++i) {
+    if (good.xv[i].empty()) continue;
+    RawWindow w;
+    for (LocalId e : good.xv[i]) w.items.push_back(residual.edge_id(e));
+    raw.push_back(std::move(w));
   }
   raw.push_back(all);
   EXPECT_EQ(windows.universe, all.items);
@@ -481,15 +494,266 @@ TEST(StageObjective, EdgeWindowsMatchBruteForceRecount) {
 
 TEST(StageObjective, EdgeWindowItemOutsideUniverseThrows) {
   const Graph g = graph::gnm(64, 256, 5);
-  std::vector<bool> in_E(g.num_edges(), true);
-  in_E[3] = false;
-  std::vector<bool> in_B(g.num_nodes(), false);
-  std::vector<std::vector<graph::EdgeId>> xv(g.num_nodes());
-  in_B[g.edge(3).u] = true;
-  xv[g.edge(3).u] = {3};  // X(v) must lie in E_{j-1}
+  const graph::Residual residual(g, std::vector<bool>(g.num_nodes(), true));
+  std::vector<LocalId> edges;
+  for (LocalId e = 0; e < residual.num_edges(); ++e) {
+    if (e != 3) edges.push_back(e);
+  }
+  const std::vector<LocalId> b_nodes = {residual.edge(3).u};
+  graph::CsrLists xv;
+  xv.items = {3};  // X(v) must lie in E_{j-1}
+  xv.offsets.push_back(1);
   std::vector<std::uint64_t> counts;
-  EXPECT_THROW(edge_stage_windows(g, in_E, in_B, xv, 0.25, 3.0, counts),
-               CheckFailure);
+  EXPECT_THROW(
+      edge_stage_windows(residual, edges, b_nodes, xv, 0.25, 3.0, counts),
+      CheckFailure);
+}
+
+
+// ---- The residual port against the mask-based oracle ----
+//
+// select_matching_good_set and sparsify_edges read a graph::Residual and
+// keep every set as an ascending residual-id list; tests/sparsify_oracle
+// holds the versions they replaced, which scan the input graph through
+// masks. On live graphs taken from real matching runs, both must agree on
+// every output, in input-graph ids, and charge the same model cost.
+
+std::vector<graph::EdgeId> original_edges(const graph::Residual& residual,
+                                          std::span<const LocalId> edges) {
+  std::vector<graph::EdgeId> out;
+  for (LocalId e : edges) out.push_back(residual.edge_id(e));
+  return out;
+}
+
+template <typename Mask>
+std::vector<std::uint64_t> set_bits(const Mask& mask) {
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t i = 0; i < mask.size(); ++i) {
+    if (mask[i]) out.push_back(i);
+  }
+  return out;
+}
+
+/// Alive masks after the first k iterations of det_maximal_matching on g,
+/// one per k in `iterations`.
+std::vector<std::vector<bool>> alive_after(
+    const Graph& g, const std::vector<std::uint64_t>& iterations) {
+  const auto run = matching::det_maximal_matching(g, {});
+  std::vector<std::vector<bool>> masks;
+  for (std::uint64_t k : iterations) {
+    EXPECT_LE(k, run.iterations);
+    std::vector<bool> alive(g.num_nodes(), true);
+    std::uint64_t matched = 0;
+    for (std::uint64_t i = 0; i < k && i < run.reports.size(); ++i) {
+      matched += run.reports[i].matched_pairs;
+    }
+    for (std::uint64_t i = 0; i < matched; ++i) {
+      alive[g.edge(run.matching[i]).u] = false;
+      alive[g.edge(run.matching[i]).v] = false;
+    }
+    masks.push_back(std::move(alive));
+  }
+  return masks;
+}
+
+void expect_same_good_set(const graph::Residual& residual,
+                          const oracle::MaskGoodSet& want,
+                          const MatchingGoodSet& got) {
+  EXPECT_EQ(got.cls, want.cls);
+  EXPECT_EQ(got.b_degree_mass, want.b_degree_mass);
+  EXPECT_EQ(got.alive_edges, want.alive_edges);
+  std::vector<std::uint64_t> b;
+  for (LocalId v : got.b_nodes) b.push_back(residual.node_id(v));
+  EXPECT_EQ(b, set_bits(want.in_B));
+  const auto e0 = original_edges(residual, got.e0);
+  EXPECT_EQ(std::vector<std::uint64_t>(e0.begin(), e0.end()),
+            set_bits(want.in_E0));
+  ASSERT_EQ(got.xv.size(), b.size());
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    EXPECT_EQ(original_edges(residual, got.xv[i]), want.xv[b[i]])
+        << "X(v) of node " << b[i];
+  }
+}
+
+void expect_same_sparsify(const graph::Residual& residual,
+                          const MatchingGoodSet& good,
+                          const oracle::MaskSparsifyResult& want,
+                          const EdgeSparsifyResult& got) {
+  const auto estar = original_edges(residual, got.estar);
+  EXPECT_EQ(std::vector<std::uint64_t>(estar.begin(), estar.end()),
+            set_bits(want.in_Estar));
+  ASSERT_EQ(got.xv_star.size(), good.b_nodes.size());
+  for (std::size_t i = 0; i < good.b_nodes.size(); ++i) {
+    const NodeId v = residual.node_id(good.b_nodes[i]);
+    EXPECT_EQ(original_edges(residual, got.xv_star[i]), want.xv_star[v])
+        << "X(v) ∩ E* of node " << v;
+  }
+  EXPECT_EQ(got.max_degree, want.max_degree);
+  ASSERT_EQ(got.stages.size(), want.stages.size());
+  for (std::size_t j = 0; j < got.stages.size(); ++j) {
+    SCOPED_TRACE("stage " + std::to_string(j + 1));
+    const StageReport& a = got.stages[j];
+    const StageReport& b = want.stages[j];
+    EXPECT_EQ(a.stage, b.stage);
+    EXPECT_EQ(a.seed, b.seed);
+    EXPECT_EQ(a.trials, b.trials);
+    EXPECT_EQ(a.window_multiplier, b.window_multiplier);
+    EXPECT_EQ(a.machines, b.machines);
+    EXPECT_EQ(a.edges_before, b.edges_before);
+    EXPECT_EQ(a.edges_after, b.edges_after);
+    EXPECT_EQ(a.max_degree_after, b.max_degree_after);
+    EXPECT_EQ(a.invariant_degree_ratio, b.invariant_degree_ratio);
+    EXPECT_EQ(a.invariant_xv_ratio, b.invariant_xv_ratio);
+  }
+}
+
+TEST(ResidualPort, MatchesMaskOracleOnLiveGraphs) {
+  std::uint64_t runs = 0, staged_runs = 0, extra_stage_runs = 0;
+  for (const NodeId n : {NodeId{1} << 13, NodeId{1} << 14}) {
+    const Graph g = graph::power_law(n, 6 * static_cast<graph::EdgeId>(n),
+                                     2.1, 7 + n);
+    const auto masks = alive_after(g, {0, 1, 3});
+    // eps = 1/3 (delta = 1/24) plans more stages per class, and at n = 2^13
+    // after one iteration needs an extra one.
+    for (std::size_t k = 0; k < masks.size(); ++k) {
+      const graph::Residual residual(g, masks[k]);
+      for (const auto& [eps, threads] :
+           {std::pair{0.5, 1u}, std::pair{0.5, 4u}, std::pair{1.0 / 3, 1u},
+            std::pair{1.0 / 3, 4u}}) {
+        SCOPED_TRACE("n " + std::to_string(n) + " mask " + std::to_string(k) +
+                     " eps " + std::to_string(eps) + " threads " +
+                     std::to_string(threads));
+        const Params params = params_for(eps, g.num_nodes());
+        mpc::ClusterConfig config;
+        config.machine_space = 1 << 16;
+        config.num_machines = 1 << 10;
+        config.threads = threads;
+        mpc::Cluster oracle_cluster(config);
+        mpc::Cluster cluster(config);
+        const auto want_good = oracle::select_matching_good_set(
+            oracle_cluster, params, g, masks[k]);
+        const auto good = select_matching_good_set(cluster, params, residual);
+        expect_same_good_set(residual, want_good, good);
+        const auto want = oracle::sparsify_edges(oracle_cluster, params, g,
+                                                 want_good, SparsifyConfig{});
+        const auto got = sparsify_edges(cluster, params, g, residual, good,
+                                        SparsifyConfig{});
+        expect_same_sparsify(residual, good, want, got);
+        EXPECT_EQ(cluster.metrics().rounds(), oracle_cluster.metrics().rounds());
+        EXPECT_EQ(cluster.metrics().total_communication(),
+                  oracle_cluster.metrics().total_communication());
+        EXPECT_EQ(cluster.metrics().peak_machine_load(),
+                  oracle_cluster.metrics().peak_machine_load());
+        ++runs;
+        staged_runs += got.stages.empty() ? 0 : 1;
+        extra_stage_runs +=
+            got.stages.size() > params.stages_for_class(good.cls) ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_EQ(runs, 24u);
+  EXPECT_GT(staged_runs, 0u);
+  EXPECT_GT(extra_stage_runs, 0u);
+}
+
+// The residual the matching loop shrinks in place equals one built afresh
+// from the alive mask, on a graph whose CSR spans many storage extents.
+TEST(ResidualPort, RemoveEqualsFreshBuildOnShardedGraph) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "dmpc_sparsify_residual_shards";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const Graph memory = graph::power_law(1 << 13, 6 << 13, 2.1, 5);
+  graph::write_edge_list_file(memory, (dir / "g.txt").string());
+  mpc::ShardBuildOptions options;
+  options.shard_words = 4096;
+  mpc::shard_build((dir / "g.txt").string(), (dir / "shards").string(),
+                   options);
+  const auto storage = mpc::MmapShardStorage::open((dir / "shards").string());
+  const Graph& g = storage->graph();
+  ASSERT_GT(g.extents().size(), 1u);
+
+  const auto masks = alive_after(g, {0, 1, 3});
+  graph::Residual residual(g, masks[0]);
+  EXPECT_TRUE(residual == graph::Residual(memory, masks[0]));
+  for (std::size_t k = 1; k < masks.size(); ++k) {
+    std::vector<std::uint8_t> removed(residual.num_nodes(), 0);
+    for (LocalId v = 0; v < residual.num_nodes(); ++v) {
+      removed[v] = masks[k][residual.node_id(v)] ? 0 : 1;
+    }
+    residual.remove(removed);
+    const graph::Residual fresh(g, masks[k]);
+    EXPECT_TRUE(residual == fresh) << "after mask " << k;
+    EXPECT_LT(residual.num_edges(), graph::Residual(g, masks[k - 1]).num_edges());
+  }
+  // Ids stay ascending and every local edge is the input edge it names.
+  for (LocalId e = 0; e < residual.num_edges(); ++e) {
+    const graph::Edge& ends = g.edge(residual.edge_id(e));
+    EXPECT_EQ(residual.node_id(residual.edge(e).u), ends.u);
+    EXPECT_EQ(residual.node_id(residual.edge(e).v), ends.v);
+    if (e > 0) EXPECT_LT(residual.edge_id(e - 1), residual.edge_id(e));
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// A space violation in the §3.3 gather names the input-graph node, not its
+// residual id.
+TEST(ResidualPort, GatherViolationNamesOriginalNode) {
+  const Graph g = graph::power_law(1 << 12, 6 << 12, 2.1, 9);
+  std::vector<bool> alive(g.num_nodes(), true);
+  for (NodeId v = 0; v < g.num_nodes(); v += 3) alive[v] = false;
+  const graph::Residual residual(g, alive);
+  const Params params = params_for(0.5, g.num_nodes());
+  auto cluster = roomy_cluster();
+  const auto good = select_matching_good_set(cluster, params, residual);
+  const auto sparse = sparsify_edges(cluster, params, g, residual, good,
+                                     SparsifyConfig{});
+  // 2-hop words of each B node, recounted in input-graph ids.
+  std::vector<std::uint32_t> estar_degree(g.num_nodes(), 0);
+  for (LocalId e : sparse.estar) {
+    ++estar_degree[g.edge(residual.edge_id(e)).u];
+    ++estar_degree[g.edge(residual.edge_id(e)).v];
+  }
+  std::vector<std::uint64_t> words;
+  for (LocalId b : good.b_nodes) {
+    const NodeId v = residual.node_id(b);
+    std::uint64_t w = estar_degree[v];
+    for (LocalId e : sparse.estar) {
+      const graph::Edge& ends = g.edge(residual.edge_id(e));
+      if (ends.u == v) w += estar_degree[ends.v];
+      if (ends.v == v) w += estar_degree[ends.u];
+    }
+    words.push_back(2 * w);
+  }
+  // The first B node whose residual id differs from its node id, and a
+  // space that only its neighborhood (and larger ones) exceed.
+  std::size_t first = 0;
+  while (first < good.b_nodes.size() &&
+         residual.node_id(good.b_nodes[first]) == good.b_nodes[first]) {
+    ++first;
+  }
+  ASSERT_LT(first, good.b_nodes.size());
+  std::uint64_t below = 0;
+  for (std::size_t i = 0; i < first; ++i) below = std::max(below, words[i]);
+  ASSERT_GT(words[first], below);
+  mpc::ClusterConfig config;
+  config.machine_space = std::max(below, words[first] - 1);
+  config.num_machines = 1 << 10;
+  mpc::Cluster tight(config);
+  const LocalId local = good.b_nodes[first];
+  const NodeId original = residual.node_id(local);
+  try {
+    (void)matching::gather_two_hop(tight, residual, good.b_nodes, sparse.estar);
+    FAIL() << "the gather passed a space of " << config.machine_space;
+  } catch (const CheckFailure& failure) {
+    const std::string what = failure.what();
+    EXPECT_NE(what.find("of node " + std::to_string(original) + ":"),
+              std::string::npos)
+        << what;
+    EXPECT_EQ(what.find("of node " + std::to_string(local) + ":"),
+              std::string::npos)
+        << what;
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -189,6 +190,35 @@ TEST(ShardBuild, DuplicateErrorMatchesReader) {
     EXPECT_NE(std::get<1>(got), 0u);
     EXPECT_EQ(got, want);
   }
+}
+
+// Both readers over the checked-in edge_list corpus: the same verdict, and
+// for a rejected file the same first error. shard_build's pass 1 does not
+// detect duplicates, so a duplicate before a later bad line must still win.
+TEST(ShardBuild, CorpusFirstErrorMatchesReader) {
+  TempDir dir("dmpc_storage_corpus");
+  using Outcome = std::optional<std::tuple<ParseErrorCode, std::uint64_t,
+                                           std::uint64_t>>;
+  const auto outcome_of = [](const std::function<void()>& read) -> Outcome {
+    try {
+      read();
+    } catch (const ParseError& e) {
+      return std::make_tuple(e.code(), e.line(), e.column());
+    }
+    return std::nullopt;
+  };
+  std::size_t files = 0;
+  for (const auto& entry : fs::directory_iterator(DMPC_EDGE_LIST_CORPUS_DIR)) {
+    const std::string input = entry.path().string();
+    SCOPED_TRACE(input);
+    ++files;
+    const Outcome want =
+        outcome_of([&] { (void)graph::read_edge_list_file(input); });
+    const Outcome got =
+        outcome_of([&] { shard_build(input, dir.str("shards")); });
+    EXPECT_EQ(got, want);
+  }
+  EXPECT_GT(files, 0u);
 }
 
 TEST(ShardBuild, RejectsDedupePolicy) {
